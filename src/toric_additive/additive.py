@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .coxring import (
     ActionMap,
@@ -55,9 +55,32 @@ class AdmissibleBasis:
     nonbasis_indices: tuple[int, ...]
     alpha: tuple[tuple[int, ...], ...]
 
-    @property
-    def basis_rays(self) -> tuple[LatticeVec, ...]:
-        return tuple(self.rays[i] for i in self.basis_indices)
+
+def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
+                      ) -> Iterator[AdmissibleBasis]:
+    """Admissible bases in lexicographic order of index tuples."""
+    clean = tuple(tuple(int(c) for c in r) for r in rays)
+    if not clean:
+        return
+    n = len(clean[0])
+    if validate and n == 2:
+        build_fan(clean)
+    for perm in permutations(range(len(clean)), n):
+        mat = [clean[i] for i in perm]
+        if mat_det(mat) not in (1, -1):
+            continue
+        duals = unimodular_duals(mat)
+        nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
+        alpha = []
+        for j in nonbasis:
+            row = tuple(-pairing(clean[j], dk) for dk in duals)
+            if any(c < 0 for c in row):
+                break
+            alpha.append(row)
+        else:
+            yield AdmissibleBasis(rays=clean, basis_indices=perm,
+                                  duals=duals, nonbasis_indices=nonbasis,
+                                  alpha=tuple(alpha))
 
 
 def find_admissible_basis(rays: Sequence[Sequence[int]], *,
@@ -67,62 +90,13 @@ def find_admissible_basis(rays: Sequence[Sequence[int]], *,
     Works for rays of any rank n (taking ordered n-tuples); fan validation
     is only available, and only applied, in rank 2.
     """
-    clean = tuple(tuple(int(c) for c in r) for r in rays)
-    if not clean:
-        return None
-    n = len(clean[0])
-    if validate and n == 2:
-        build_fan(clean)
-    for perm in permutations(range(len(clean)), n):
-        mat = [clean[i] for i in perm]
-        if mat_det(mat) not in (1, -1):
-            continue
-        duals = unimodular_duals(mat)
-        nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
-        alpha = []
-        admissible = True
-        for j in nonbasis:
-            row = tuple(-pairing(clean[j], dk) for dk in duals)
-            if any(c < 0 for c in row):
-                admissible = False
-                break
-            alpha.append(row)
-        if admissible:
-            return AdmissibleBasis(rays=clean, basis_indices=perm,
-                                   duals=duals, nonbasis_indices=nonbasis,
-                                   alpha=tuple(alpha))
-    return None
+    return next(_admissible_bases(rays, validate), None)
 
 
 def all_admissible_bases(rays: Sequence[Sequence[int]], *,
                          validate: bool = True) -> tuple[AdmissibleBasis, ...]:
-    clean = tuple(tuple(int(c) for c in r) for r in rays)
-    if not clean:
-        return ()
-    n = len(clean[0])
-    if validate and n == 2:
-        build_fan(clean)
-    found = []
-    for perm in permutations(range(len(clean)), n):
-        mat = [clean[i] for i in perm]
-        if mat_det(mat) not in (1, -1):
-            continue
-        duals = unimodular_duals(mat)
-        nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
-        alpha = []
-        admissible = True
-        for j in nonbasis:
-            row = tuple(-pairing(clean[j], dk) for dk in duals)
-            if any(c < 0 for c in row):
-                admissible = False
-                break
-            alpha.append(row)
-        if admissible:
-            found.append(AdmissibleBasis(rays=clean, basis_indices=perm,
-                                         duals=duals,
-                                         nonbasis_indices=nonbasis,
-                                         alpha=tuple(alpha)))
-    return tuple(found)
+    """Every admissible basis, in the order find_admissible_basis tries them."""
+    return tuple(_admissible_bases(rays, validate))
 
 
 def decide_existence(rays: Sequence[Sequence[int]], *,

@@ -206,9 +206,6 @@ class Poly:
             total += prod
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __str__(self) -> str:
         return poly_str(self)
 
@@ -475,14 +472,6 @@ class ActionMap:
         sub = {self.ring.index("s1"): Poly.const(self.ring, v1),
                self.ring.index("s2"): Poly.const(self.ring, v2)}
         return tuple(p.subs(sub) for p in self.images)
-
-    def eval_point(self, point: Sequence, v1, v2) -> tuple[Fraction, ...]:
-        vals = [Fraction(0)] * self.ring.nvars
-        for i, c in enumerate(point):
-            vals[i] = Fraction(c)
-        vals[self.ring.index("s1")] = Fraction(v1)
-        vals[self.ring.index("s2")] = Fraction(v2)
-        return tuple(p.eval(vals) for p in self.images)
 
 
 def exp_action(d1: Derivation, d2: Derivation, *,

@@ -8,6 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -137,6 +138,8 @@ def mat_det(rows: list[LatticeVec]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise LengthMismatch("determinant of a non-square matrix")
+    if n == 0:
+        return 1
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -162,72 +165,31 @@ def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, ...]:
 
     Entry j of the result pairs to 1 with rows[j] and to 0 with the others.
     """
-    from fractions import Fraction
-
     n = len(rows)
     d = mat_det(rows)
     if abs(d) != 1:
         raise NotABasis(f"determinant {d} is not a unit")
-    # Solve rows * X = I by Gauss-Jordan over the rationals; integrality of
-    # the solution is forced by the unit determinant.
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == k)) for k in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    duals = []
-    for j in range(n):
-        col = tuple(a[i][n + j] for i in range(n))
-        assert all(x.denominator == 1 for x in col)
-        duals.append(tuple(int(x) for x in col))
-    return tuple(duals)
+    # Dual j is row j of the cofactor matrix divided by the determinant
+    # (Laplace expansion along row j); dividing by +-1 is multiplying.
+    return tuple(
+        tuple(d * (-1) ** (i + j)
+              * mat_det([r[:i] + r[i + 1:] for k, r in enumerate(rows)
+                         if k != j])
+              for i in range(n))
+        for j in range(n))
 
 
-def fraction_rank(rows: list[list]) -> int:
-    """Exact rank of a rational matrix by Gaussian elimination."""
-    from fractions import Fraction
+def _row_reduce(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of a, in place.
 
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
+    Returns the pivot columns; pivot row k holds a 1 in column pivots[k]
+    and every other row a 0 there.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
+        rank = len(pivots)
         if rank == len(a):
             break
-    return rank
-
-
-def fraction_solve(rows: list[list], rhs: list) -> list | None:
-    """Unique exact solution of rows * x = rhs, or None.
-
-    Returns None when the system is inconsistent or the solution is not
-    unique; the system may be overdetermined.
-    """
-    from fractions import Fraction
-
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    nunk = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(nunk):
         piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
         if piv is None:
             continue
@@ -239,13 +201,25 @@ def fraction_solve(rows: list[list], rhs: list) -> list | None:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         pivots.append(col)
-        rank += 1
-    for i in range(rank, len(a)):
-        if a[i][nunk] != 0:
-            return None
-    if rank != nunk:
+    return pivots
+
+
+def fraction_rank(rows: list[list]) -> int:
+    """Exact rank of a rational matrix by Gaussian elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    return len(_row_reduce(a, len(a[0]) if a else 0))
+
+
+def fraction_solve(rows: list[list], rhs: list) -> list | None:
+    """Unique exact solution of rows * x = rhs, or None.
+
+    Returns None when the system is inconsistent or the solution is not
+    unique; the system may be overdetermined.
+    """
+    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    nunk = len(rows[0]) if rows else 0
+    if len(_row_reduce(a, nunk)) != nunk:
         return None
-    x = [Fraction(0)] * nunk
-    for i, col in enumerate(pivots):
-        x[col] = a[i][nunk]
-    return x
+    if any(a[i][nunk] != 0 for i in range(nunk, len(a))):
+        return None
+    return [a[i][nunk] for i in range(nunk)]

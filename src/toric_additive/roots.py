@@ -57,21 +57,25 @@ class RootSystem:
         return tuple(r.e for r in self.per_ray[i])
 
 
-def enumerate_roots_at(fan: Fan2, i: int, *, cone_condition: bool = True
-                       ) -> tuple[DemazureRoot, ...]:
-    """Roots attached to ray i, sorted lexicographically by character."""
-    p = fan.rays[i]
-    e0, q = solve_pairing_line(p, -1)
+def root_interval(rays: Sequence[LatticeVec], i: int
+                  ) -> tuple[CharVec, CharVec, int, int]:
+    """Integer interval of the line <p_i, e> = -1 cut out by <p_j, e> >= 0.
+
+    Returns (e0, q, lo, hi): the characters e0 + k*q with lo <= k <= hi are
+    exactly those pairing to -1 with ray i and nonnegatively with every
+    other ray.  The interval is empty (lo > hi) when there are none.
+    """
+    e0, q = solve_pairing_line(rays[i], -1)
     lo: int | None = None
     hi: int | None = None
-    for j, pj in enumerate(fan.rays):
+    for j, pj in enumerate(rays):
         if j == i:
             continue
         a = pairing(pj, q)
         b = pairing(pj, e0)
         if a == 0:
             if b < 0:
-                return ()
+                return e0, q, 1, 0
         elif a > 0:
             k = -(b // a)  # ceil(-b / a)
             if lo is None or k > lo:
@@ -84,6 +88,13 @@ def enumerate_roots_at(fan: Fan2, i: int, *, cone_condition: bool = True
         # Completeness forces constraints of both signs along the line.
         raise InternalInconsistency(
             f"parameter line of ray {i + 1} is unbounded; fan not complete?")
+    return e0, q, lo, hi
+
+
+def enumerate_roots_at(fan: Fan2, i: int, *, cone_condition: bool = True
+                       ) -> tuple[DemazureRoot, ...]:
+    """Roots attached to ray i, sorted lexicographically by character."""
+    e0, q, lo, hi = root_interval(fan.rays, i)
     found = []
     for k in range(lo, hi + 1):
         e = (e0[0] + k * q[0], e0[1] + k * q[1])
@@ -134,8 +145,7 @@ def _spiral(radius: int) -> Iterable[tuple[int, int]]:
             yield (r, y)
 
 
-def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec],
-                          nonbasis_roots: Iterable[CharVec] | None = None
+def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
                           ) -> LatticeVec:
     """Choose a one parameter subgroup u that cuts a positive system.
 
@@ -151,14 +161,8 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec],
     i1, i2 = basis.basis_indices
     p1, p2 = fan.rays[i1], fan.rays[i2]
     semi = tuple(semisimple)
-    if nonbasis_roots is None:
-        seen = set()
-        for j in basis.nonbasis_indices:
-            for r in enumerate_roots_at(fan, j):
-                seen.add(r.e)
-        nonbasis_roots = tuple(sorted(seen))
-    else:
-        nonbasis_roots = tuple(nonbasis_roots)
+    nonbasis_roots = {r.e for j in basis.nonbasis_indices
+                      for r in enumerate_roots_at(fan, j)}
     d1, d2 = basis.duals[0], basis.duals[1]
     eplus = vsub(d1, d2)
     semi_set = set(semi)
@@ -213,16 +217,18 @@ def all_roots(fan: Fan2, basis=None) -> RootSystem:
                       regular_vector=u, positive=pos)
 
 
-def closed_form_counts(basis) -> tuple[int, int]:
-    """Expected |R_1|, |R_2| for the basis rays from the octant coordinates.
+def octant_root_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Expected |R_1|, |R_2| for the basis rays from octant coordinates.
 
-    |R_1| = floor(min_j a_j1 / a_j2) + 1 where rows with a_j2 = 0 impose no
-    bound, and symmetrically for |R_2|.  At least one row must bound each
-    side; otherwise the fan could not be complete.
+    Each row is (a_j1, a_j2) for one non-basis ray, as in
+    ``AdmissibleBasis.alpha``.  |R_1| = floor(min_j a_j1 / a_j2) + 1 where
+    rows with a_j2 = 0 impose no bound, and symmetrically for |R_2|.  At
+    least one row must bound each side; otherwise the fan could not be
+    complete.
     """
     def side(num_col: int, den_col: int) -> int:
         best: tuple[int, int] | None = None  # ratio as (num, den), den > 0
-        for row in basis.alpha:
+        for row in rows:
             num, den = row[num_col], row[den_col]
             if den == 0:
                 continue
@@ -234,3 +240,8 @@ def closed_form_counts(basis) -> tuple[int, int]:
         return best[0] // best[1] + 1
 
     return side(0, 1), side(1, 0)
+
+
+def closed_form_counts(basis) -> tuple[int, int]:
+    """octant_root_counts of an admissible basis's octant coordinates."""
+    return octant_root_counts(basis.alpha)

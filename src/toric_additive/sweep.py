@@ -17,15 +17,13 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .additive import classify, find_admissible_basis
-from .errors import InternalInconsistency
 from .fan import _angular_cmp, build_fan, cross
 from .lattice import (
     LatticeVec,
     dual_basis,
     negative_octant_coords,
-    pairing,
-    solve_pairing_line,
 )
+from .roots import octant_root_counts, root_interval
 from .verify import verification_report
 
 Progress = Callable[[str, int], None]
@@ -92,51 +90,6 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
             bad[i][j] = full & ~(mask | (1 << i) | (1 << j))
             coords[i][j] = inside
     return bad, coords
-
-
-def _side_counts(rows: list[tuple[int, int]]) -> tuple[int, int]:
-    """Root counts (|R1|, |R2|) of the basis rays from octant coordinates."""
-    def side(num_col: int, den_col: int) -> int:
-        best: tuple[int, int] | None = None
-        for row in rows:
-            num, den = row[num_col], row[den_col]
-            if den == 0:
-                continue
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den)
-        assert best is not None
-        return best[0] // best[1]
-
-    return side(0, 1) + 1, side(1, 0) + 1
-
-
-def _line_root_count(rays: tuple[LatticeVec, ...], i: int) -> int:
-    """|R_i| by intersecting halfplane bounds along the pairing -1 line.
-
-    Independent of the octant coordinate route: parametrizes the solutions
-    of <p_i, e> = -1 and clips by <p_j, e> >= 0 directly.
-    """
-    e0, q = solve_pairing_line(rays[i], -1)
-    lo = hi = None
-    for j, p in enumerate(rays):
-        if j == i:
-            continue
-        a = pairing(p, q)
-        b = pairing(p, e0)
-        if a > 0:
-            k = -(b // a)
-            if lo is None or k > lo:
-                lo = k
-        elif a < 0:
-            k = b // (-a)
-            if hi is None or k < hi:
-                hi = k
-        elif b < 0:
-            return 0
-    if lo is None or hi is None:
-        raise InternalInconsistency(
-            "root line of a complete fan must be bounded on both sides")
-    return hi - lo + 1 if hi >= lo else 0
 
 
 @dataclass
@@ -230,7 +183,7 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                 table = coords[i][j]
                 assert table is not None
                 rows = [table[k] for k in idx if k != i and k != j]
-                n1, n2 = _side_counts(rows)
+                n1, n2 = octant_root_counts(rows)
                 degrees.append(max(n1, n2) - 1)
                 if first is None:
                     first = (i, j, n1, n2)
@@ -241,8 +194,9 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                     "d_depends_on_basis", {"rays": rays, "degrees": degrees})
             assert first is not None
             i, j, n1, n2 = first
-            got = (_line_root_count(rays, idx.index(i)),
-                   _line_root_count(rays, idx.index(j)))
+            _, _, lo1, hi1 = root_interval(rays, idx.index(i))
+            _, _, lo2, hi2 = root_interval(rays, idx.index(j))
+            got = (max(hi1 - lo1 + 1, 0), max(hi2 - lo2 + 1, 0))
             if got != (n1, n2):
                 report.record_violation(
                     "root_count_mismatch",

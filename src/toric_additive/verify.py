@@ -41,7 +41,7 @@ from .errors import (
 )
 from .fan import Fan2, adjacent
 from .lattice import fraction_rank, pairing
-from .roots import DemazureRoot, enumerate_roots_at, roots_by_ray
+from .roots import DemazureRoot, roots_by_ray
 
 
 def brute_force_roots(fan: Fan2, box: int = 10, *,

@@ -229,6 +229,8 @@ def test_d_is_basis_independent():
         except Exception:
             continue
         bases = all_admissible_bases(fan.rays, validate=False)
+        assert find_admissible_basis(fan.rays, validate=False) == \
+            (bases[0] if bases else None)
         if not bases:
             continue
         checked += 1

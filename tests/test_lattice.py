@@ -176,6 +176,7 @@ def test_mat_det():
     assert mat_det([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
     assert mat_det([(2, 0, 0), (0, 3, 0), (0, 0, 4)]) == 24
     assert mat_det([(1, 2), (2, 4)]) == 0
+    assert mat_det([]) == 1
 
 
 def test_unimodular_duals_rank3():
@@ -186,6 +187,26 @@ def test_unimodular_duals_rank3():
     for i, r in enumerate(rows):
         for j, d in enumerate(duals):
             assert pairing(r, d) == (1 if i == j else 0)
+    # random unimodular matrices: the identity under random row operations
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 8)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a == b:
+                m[a] = [-x for x in m[a]]
+            else:
+                k = rng.randint(-3, 3)
+                m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+        rows = [tuple(r) for r in m]
+        duals = unimodular_duals(rows)
+        assert len(duals) == n
+        for i, r in enumerate(rows):
+            for j, d in enumerate(duals):
+                assert pairing(r, d) == (1 if i == j else 0)
+    with pytest.raises(NotABasis):
+        unimodular_duals([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
 
 
 def test_fraction_rank():
@@ -193,6 +214,7 @@ def test_fraction_rank():
     assert fraction_rank([[1, 2], [2, 4]]) == 1
     assert fraction_rank([[0, 0], [0, 0]]) == 0
     assert fraction_rank([[Fraction(1, 2), 1], [1, 2], [3, 7]]) == 2
+    assert fraction_rank([[0, 1, 2], [0, 2, 5]]) == 2
 
 
 def test_fraction_solve():
