@@ -19,12 +19,11 @@ from .coxring import (
     build_lnd_family,
     emit_actions,
 )
-from .errors import InternalInconsistency, UnsupportedDimension
+from .errors import InternalInconsistency, NotABasis, UnsupportedDimension
 from .fan import Fan2, build_fan
 from .lattice import (
     CharVec,
     LatticeVec,
-    mat_det,
     pairing,
     unimodular_duals,
     vneg,
@@ -66,10 +65,10 @@ def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
     if validate and n == 2:
         build_fan(clean)
     for perm in permutations(range(len(clean)), n):
-        mat = [clean[i] for i in perm]
-        if mat_det(mat) not in (1, -1):
+        try:
+            duals = unimodular_duals([clean[i] for i in perm])
+        except NotABasis:
             continue
-        duals = unimodular_duals(mat)
         nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
         alpha = []
         for j in nonbasis:
@@ -209,13 +208,11 @@ def classify(fan: Fan2, *, with_actions: bool = True) -> Classification:
     if n1 > n2:
         basis = _swapped(basis)
         n1, n2 = n2, n1
-    enum1 = enumerate_roots_at(fan, basis.basis_indices[0])
-    enum2 = enumerate_roots_at(fan, basis.basis_indices[1])
-    if (len(enum1), len(enum2)) != (n1, n2):
-        raise InternalInconsistency(
-            "closed-form root counts disagree with enumeration")
     rs = all_roots(fan, basis)
     i1, i2 = basis.basis_indices
+    if (len(rs.per_ray[i1]), len(rs.per_ray[i2])) != (n1, n2):
+        raise InternalInconsistency(
+            "closed-form root counts disagree with enumeration")
     assert rs.positive is not None
     pos1 = [e for e in rs.positive if pairing(fan.rays[i1], e) == -1]
     pos2 = [e for e in rs.positive if pairing(fan.rays[i2], e) == -1]

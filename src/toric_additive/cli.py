@@ -61,7 +61,11 @@ def _load_rays(args) -> tuple[list[tuple[int, ...]], str]:
     if getattr(args, "example", None):
         return list(example_fan(args.example)), args.example
     path = args.input
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     name = "stdin" if path == "-" else os.path.basename(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -391,17 +391,9 @@ class Derivation:
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
-    def scale(self, c) -> "Derivation":
-        if isinstance(c, (int, Fraction)):
-            factor: Poly = Poly.const(self.ring, c)
-            keep_char = True
-        else:
-            factor = c
-            keep_char = len(factor.terms) == 0 or set(factor.terms) == {
-                (0,) * self.ring.nvars}
-        return Derivation(self.ring,
-                          tuple(factor * p for p in self.entries),
-                          char=self.char if keep_char else None)
+    def scale(self, c: int | Fraction) -> "Derivation":
+        return Derivation(self.ring, tuple(p * c for p in self.entries),
+                          char=self.char)
 
 
 def zero_derivation(ring: PolyRing) -> Derivation:
@@ -427,10 +419,9 @@ def derivation_str(D: Derivation) -> str:
 def commutator(a: Derivation, b: Derivation) -> Derivation:
     if a.ring != b.ring:
         raise VariableMismatch("derivations live in different rings")
-    entries = []
-    for i in range(a.ring.nvars):
-        x = Poly.var(a.ring, i)
-        entries.append(a.apply(b.apply(x)) - b.apply(a.apply(x)))
+    # a.apply(x_i) is a.entries[i], so [a, b](x_i) needs no apply on x_i
+    entries = [a.apply(bi) - b.apply(ai)
+               for ai, bi in zip(a.entries, b.entries)]
     char = None
     if a.char is not None and b.char is not None and any(
             not p.is_zero for p in entries):
@@ -438,18 +429,30 @@ def commutator(a: Derivation, b: Derivation) -> Derivation:
     return Derivation(a.ring, tuple(entries), char=char)
 
 
-def exp_ad(z: Derivation, d: Derivation, *, max_steps: int = 64) -> Derivation:
-    """exp(ad z) applied to d: d + [z,d] + [z,[z,d]]/2 + ..."""
-    acc = d
-    cur = d
-    for step in range(1, max_steps + 1):
-        cur = commutator(z, cur).scale(Fraction(1, step))
+_MAX_STEPS = 64
+
+
+def _exp_series(x, op, what: Callable[[], str]):
+    """x + op(x) + op(op(x))/2! + ..., summed up to the first zero term.
+
+    ``op(t, c)`` returns c * op(t) for a Poly or Derivation t.  A series
+    with no zero term within _MAX_STEPS raises NotLocallyNilpotent, whose
+    message starts with ``what()``.
+    """
+    acc = cur = x
+    for step in range(1, _MAX_STEPS + 1):
+        cur = op(cur, Fraction(1, step))
         if cur.is_zero:
             return acc
         acc = acc + cur
     raise NotLocallyNilpotent(
-        f"iterated bracket with {derivation_str(z)} did not terminate "
-        f"within {max_steps} steps")
+        f"{what()} did not terminate within {_MAX_STEPS} steps")
+
+
+def exp_ad(z: Derivation, d: Derivation) -> Derivation:
+    """exp(ad z) applied to d: d + [z,d] + [z,[z,d]]/2 + ..."""
+    return _exp_series(d, lambda t, c: commutator(z, t).scale(c),
+                       lambda: f"iterated bracket with {derivation_str(z)}")
 
 
 @dataclass(frozen=True)
@@ -474,8 +477,7 @@ class ActionMap:
         return tuple(p.subs(sub) for p in self.images)
 
 
-def exp_action(d1: Derivation, d2: Derivation, *,
-               max_steps: int = 64) -> ActionMap:
+def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     """Exponentiate the pair s1*d1 + s2*d2 into a polynomial action map.
 
     The pair must commute; each coordinate must be annihilated by enough
@@ -490,24 +492,13 @@ def exp_action(d1: Derivation, d2: Derivation, *,
             "exp(s1*D1 + s2*D2) is a group action only for commuting pairs")
     s1 = Poly.var(ring, ring.index("s1"))
     s2 = Poly.var(ring, ring.index("s2"))
-    flow = d1.scale(s1) + d2.scale(s2)
-    ncoords = ring.index("s1")
-    images = []
-    for i in range(ncoords):
-        x = Poly.var(ring, i)
-        acc = x
-        cur = x
-        for step in range(1, max_steps + 1):
-            cur = flow.apply(cur) * Fraction(1, step)
-            if cur.is_zero:
-                break
-            acc = acc + cur
-        else:
-            raise NotLocallyNilpotent(
-                f"flow of {ring.names[i]} did not terminate within "
-                f"{max_steps} steps")
-        images.append(acc)
-    return ActionMap(ring=ring, images=tuple(images))
+    flow = Derivation(ring, tuple(a * s1 + b * s2
+                                  for a, b in zip(d1.entries, d2.entries)))
+    images = tuple(
+        _exp_series(Poly.var(ring, i), lambda p, c: flow.apply(p) * c,
+                    lambda: f"flow of {ring.names[i]}")
+        for i in range(ring.index("s1")))
+    return ActionMap(ring=ring, images=images)
 
 
 def compose(first: ActionMap, second: ActionMap) -> ActionMap:
@@ -515,10 +506,10 @@ def compose(first: ActionMap, second: ActionMap) -> ActionMap:
     if first.ring != second.ring:
         raise VariableMismatch("actions live in different rings")
     ring = first.ring
-    rename = {ring.index("s1"): Poly.var(ring, ring.index("r1")),
-              ring.index("s2"): Poly.var(ring, ring.index("r2"))}
-    xs = {i: first.images[i] for i in range(first.ncoords)}
-    images = tuple(p.subs(rename).subs(xs) for p in second.images)
+    sub = {i: first.images[i] for i in range(first.ncoords)}
+    sub[ring.index("s1")] = Poly.var(ring, ring.index("r1"))
+    sub[ring.index("s2")] = Poly.var(ring, ring.index("r2"))
+    images = tuple(p.subs(sub) for p in second.images)
     return ActionMap(ring=ring, images=images,
                      params=("s1", "s2", "r1", "r2"))
 
@@ -710,11 +701,11 @@ def normal_form(mu: Sequence, family: LndFamily) -> NormalFormResult:
 
     Solves for eta_1..eta_d such that exp(ad Z) with
     Z = delta + sum_k eta_k partials[k] maps the given generator to
-    delta + mu_d partials[d] while fixing partials[0].  The expansion of
-    exp(ad Z) is exactly linear in eta because repeated brackets land in the
-    span of the partials, which is abelian; the resulting triangular linear
-    system is solved exactly and the answer is re-verified by an independent
-    numeric conjugation.
+    delta + mu_d partials[d] while fixing partials[0].  exp(ad Z) is
+    affine in eta because every bracket with Z lands in the span of the
+    partials, which is abelian; the system read off at eta = 0 and at each
+    unit vector is triangular, is solved exactly, and the answer is
+    re-verified by conjugating with the solved Z.
     """
     d = family.d
     if d == 0:
@@ -726,39 +717,17 @@ def normal_form(mu: Sequence, family: LndFamily) -> NormalFormResult:
             f"need coefficients for partials[0..{d}], got {len(coeffs)}")
     if coeffs[d] == 0:
         raise NotApplicable("the top coefficient mu_d must be nonzero")
-    ring = family.ring
     delta, parts = family.delta, family.partials
     gen = delta
     for k in range(d + 1):
         gen = gen + parts[k].scale(coeffs[k])
     target = delta + parts[d].scale(coeffs[d])
 
-    # exp(ad Z)(gen) with Z = delta + sum eta_k parts[k], tracked as a
-    # constant part plus one derivation coefficient per unknown eta_k.
-    zero = zero_derivation(ring)
-    const = gen
-    eta_part = [zero] * d
-    sum_const = gen
-    sum_eta = [zero] * d
-    for step in range(1, 65):
-        inv = Fraction(1, step)
-        new_const = commutator(delta, const).scale(inv)
-        new_eta = []
-        for k in range(d):
-            term = commutator(parts[k + 1], const) + commutator(delta, eta_part[k])
-            new_eta.append(term.scale(inv))
-            # exact linearity needs the eta coefficients to commute with
-            # every partial; they live in the abelian span by construction
-            if not commutator(parts[k + 1], eta_part[k]).is_zero:
-                raise InternalInconsistency(
-                    "eta coefficient escaped the abelian span")
-        const, eta_part = new_const, new_eta
-        if const.is_zero and all(e.is_zero for e in eta_part):
-            break
-        sum_const = sum_const + const
-        sum_eta = [a + b for a, b in zip(sum_eta, eta_part)]
-    else:
-        raise InternalInconsistency("exp(ad Z) expansion did not terminate")
+    # exp(ad Z)(gen) with Z = delta + sum eta_k parts[k] is affine in eta:
+    # a constant part plus one derivation coefficient per unknown eta_k.
+    sum_const = exp_ad(delta, gen)
+    sum_eta = [exp_ad(delta + parts[k + 1], gen) - sum_const
+               for k in range(d)]
 
     i1, i2 = family.basis.basis_indices
     if sum_const.entries[i1] != target.entries[i1]:

@@ -169,15 +169,14 @@ def check_root_lnd_degree_zero(c: Classification) -> bool:
 
 
 def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
-                     point: Sequence | None = None, seed: int = 0,
-                     retries: int = 5) -> bool:
+                     point: Sequence | None = None, seed: int = 0) -> bool:
     """Exact full-rank test for the orbit through a rational point.
 
     The rows are the two vector fields evaluated at the point followed by
     the quasitorus directions read off the grading; rank m means the orbit
     of the combined group is dense, which is what the action construction
     promises.  A rank drop at one point can be bad luck, so without an
-    explicit point a few seeded points are tried.
+    explicit point five seeded points are tried.
     """
     m = len(grading.degrees)
     ring = d1.ring
@@ -200,7 +199,7 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
                 "orbit test points must avoid the coordinate hyperplanes")
         return rank_at(pt) == m
     rng = random.Random(seed)
-    for _ in range(max(1, retries)):
+    for _ in range(5):
         pt = [Fraction(rng.randint(1, 9)) for _ in range(m)]
         if rank_at(pt) == m:
             return True

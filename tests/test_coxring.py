@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from toric_additive.additive import find_admissible_basis
+from toric_additive.additive import classify_rays, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
@@ -204,6 +204,9 @@ def test_exp_action_rejects_non_nilpotent():
     a = derivation(R3, {0: _p("x1^2")})
     with pytest.raises(NotLocallyNilpotent):
         exp_action(a, zero_derivation(R3))
+    z = derivation(R3, {0: _p("x2"), 1: _p("x1")})
+    with pytest.raises(NotLocallyNilpotent):
+        exp_ad(z, derivation(R3, {0: _p("1")}))
 
 
 def test_compose_group_law():
@@ -374,9 +377,12 @@ def test_normal_form_binomial_oracle():
     # closed form solution of the triangular system, derived from the
     # bracket table alone
     rng = random.Random(29)
-    for name, d in (("p2", 1), ("p112", 2), ("p113", 3)):
-        basis = find_admissible_basis(example_fan(name))
-        family = build_lnd_family(basis, d)
+    families = [build_lnd_family(find_admissible_basis(example_fan(name)), d)
+                for name, d in (("p2", 1), ("p112", 2), ("p113", 3))]
+    families += [classify_rays(example_fan(name)).family
+                 for name in ("f:5", "f:8")]
+    for family in families:
+        d = family.d
         for _ in range(10):
             mu = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                   for _ in range(d)]
