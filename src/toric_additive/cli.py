@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .additive import classify, classify_rays
+from .additive import classify, complete_collections
 from .catalog import example_fan, example_names
 from .coxring import derivation_str
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroVector,
 )
-from .fan import build_fan
+from .fan import Fan2, build_fan
 from .lattice import primitive
 from .render import fan_svg
 from .roots import all_roots
@@ -35,6 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_FAN = 2
 EXIT_INTERNAL = 3
+
+
+# What each subcommand returns: its JSON document (None when it has
+# none), its text lines, and its exit code.  main() writes one of them.
+_Result = tuple[dict | None, list[str], int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +62,18 @@ def _parse_ray_text(text: str) -> list[tuple[int, int]]:
     return rays
 
 
+def _json_rays(rays) -> list[tuple[int, ...]]:
+    if not isinstance(rays, list):
+        raise ValueError('"rays" must be a list of rays, each a list of '
+                         f"integers; got {json.dumps(rays)}")
+    for k, r in enumerate(rays, 1):
+        if not isinstance(r, list) or not all(
+                type(c) is int for c in r):  # bool is an int subclass
+            raise ValueError(f"ray {k}: expected a list of integers, "
+                             f"got {json.dumps(r)}")
+    return [tuple(r) for r in rays]
+
+
 def _load_rays(args) -> tuple[list[tuple[int, ...]], str]:
     if getattr(args, "example", None):
         return list(example_fan(args.example)), args.example
@@ -72,13 +89,21 @@ def _load_rays(args) -> tuple[list[tuple[int, ...]], str]:
         doc = json.loads(text)
         if "rays" not in doc:
             raise ValueError('JSON fan input needs a "rays" key')
-        rays = [tuple(int(c) for c in r) for r in doc["rays"]]
+        rays = _json_rays(doc["rays"])
         name = doc.get("name", name)
         if doc.get("normalize_rays"):
             rays = [primitive(r)[0] for r in rays]
     else:
         rays = _parse_ray_text(text)
     return rays, name
+
+
+def _load_fan(args) -> tuple[Fan2, str]:
+    rays, name = _load_rays(args)
+    if rays and len(rays[0]) != 2:
+        raise UnsupportedDimension(
+            f"fans of rank {len(rays[0])} are not supported")
+    return build_fan(rays), name
 
 
 def _seed(args) -> int:
@@ -92,6 +117,7 @@ def _seed(args) -> int:
 
 
 def _emit(args, text: str) -> None:
+    """Write to -o FILE or stdout; the only place the CLI writes output."""
     out = getattr(args, "output", None)
     if out and out != "-":
         with open(out, "w") as fh:
@@ -104,33 +130,33 @@ def _ray_str(r: Sequence[int]) -> str:
     return "(" + ", ".join(str(c) for c in r) + ")"
 
 
-def cmd_validate(args) -> int:
-    rays, name = _load_rays(args)
-    if rays and len(rays[0]) != 2:
-        raise UnsupportedDimension(
-            f"fans of rank {len(rays[0])} are not supported")
-    fan = build_fan(rays)
+def _collections(collections) -> list[dict]:
+    return [{"rays": [i + 1 for i in c.basis_indices],
+             "roots": [list(r.e) for r in c.roots]} for c in collections]
+
+
+def _roots_str(roots) -> str:
+    return " ".join(_ray_str(e) for e in roots) or "none"
+
+
+def cmd_validate(args) -> _Result:
+    fan, name = _load_fan(args)
     doc = {
         "name": name,
         "ok": True,
         "rays": [list(r) for r in fan.rays],
         "maximal_cones": [[i + 1, j + 1] for i, j in fan.maximal_cones],
     }
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        lines = [f"fan: {name}", "rays (cyclic order):"]
-        lines += [f"  p{i + 1} = {_ray_str(r)}" for i, r in enumerate(fan.rays)]
-        cones = " ".join(f"(p{i + 1},p{j + 1})" for i, j in fan.maximal_cones)
-        lines.append(f"maximal cones: {cones}")
-        lines.append("valid: yes")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    lines = [f"fan: {name}", "rays (cyclic order):"]
+    lines += [f"  p{i + 1} = {_ray_str(r)}" for i, r in enumerate(fan.rays)]
+    cones = " ".join(f"(p{i + 1},p{j + 1})" for i, j in fan.maximal_cones)
+    lines.append(f"maximal cones: {cones}")
+    lines.append("valid: yes")
+    return doc, lines, EXIT_OK
 
 
-def _roots_doc(fan, name: str) -> dict:
-    from .additive import complete_collections
-
+def cmd_roots(args) -> _Result:
+    fan, name = _load_fan(args)
     rs = all_roots(fan)
     doc = {
         "name": name,
@@ -144,33 +170,17 @@ def _roots_doc(fan, name: str) -> dict:
         if rs.regular_vector else None,
         "positive": [list(e) for e in rs.positive]
         if rs.positive is not None else None,
-        "collections": [
-            {"rays": [c.basis_indices[0] + 1, c.basis_indices[1] + 1],
-             "roots": [list(c.roots[0].e), list(c.roots[1].e)]}
-            for c in complete_collections(fan)],
+        "collections": _collections(complete_collections(fan)),
     }
-    return doc
-
-
-def cmd_roots(args) -> int:
-    rays, name = _load_rays(args)
-    fan = build_fan(rays)
-    doc = _roots_doc(fan, name)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-        return EXIT_OK
     lines = [f"fan: {name}"]
-    for entry in doc["roots_by_ray"]:
-        roots = " ".join(_ray_str(e) for e in entry["roots"]) or "none"
-        lines.append(f"roots of p{entry['ray']}: {roots}")
-    lines.append("semisimple: "
-                 + (" ".join(_ray_str(e) for e in doc["semisimple"]) or "none"))
-    lines.append("unipotent: "
-                 + (" ".join(_ray_str(e) for e in doc["unipotent"]) or "none"))
-    if doc["regular_vector"]:
-        lines.append(f"regular vector u: {_ray_str(doc['regular_vector'])}")
+    lines += [f"roots of p{i + 1}: {_roots_str(r.e for r in per)}"
+              for i, per in enumerate(rs.per_ray)]
+    lines.append(f"semisimple: {_roots_str(rs.semisimple)}")
+    lines.append(f"unipotent: {_roots_str(rs.unipotent)}")
+    if rs.regular_vector:
+        lines.append(f"regular vector u: {_ray_str(rs.regular_vector)}")
         lines.append("positive roots: "
-                     + " ".join(_ray_str(e) for e in doc["positive"]))
+                     + " ".join(_ray_str(e) for e in rs.positive))
     for coll in doc["collections"]:
         i1, i2 = coll["rays"]
         e1, e2 = coll["roots"]
@@ -178,8 +188,7 @@ def cmd_roots(args) -> int:
                      f"{_ray_str(e1)} {_ray_str(e2)}")
     if not doc["collections"]:
         lines.append("complete collections: none")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return doc, lines, EXIT_OK
 
 
 def _classification_doc(c, name: str) -> dict:
@@ -203,20 +212,14 @@ def _classification_doc(c, name: str) -> dict:
         doc["regular_vector"] = list(c.root_system.regular_vector or ())
         doc["positive_roots"] = [list(e) for e in (c.root_system.positive or ())]
         doc["root_counts"] = [len(per) for per in c.root_system.per_ray]
-    doc["collections"] = [
-        {"rays": [x.basis_indices[0] + 1, x.basis_indices[1] + 1],
-         "roots": [list(x.roots[0].e), list(x.roots[1].e)]}
-        for x in c.collections]
+    doc["collections"] = _collections(c.collections)
     return doc
 
 
-def cmd_classify(args) -> int:
-    rays, name = _load_rays(args)
-    c = classify_rays(rays, with_actions=False)
+def cmd_classify(args) -> _Result:
+    fan, name = _load_fan(args)
+    c = classify(fan, with_actions=False)
     doc = _classification_doc(c, name)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-        return EXIT_OK
     lines = [f"fan: {name}",
              "rays: " + " ".join(_ray_str(r) for r in doc["rays"]),
              f"admits additive action: {'yes' if c.admits_action else 'no'}",
@@ -233,21 +236,16 @@ def cmd_classify(args) -> int:
         lines.append("positive roots: "
                      + " ".join(_ray_str(e) for e in doc["positive_roots"]))
     lines.append(f"complete collections: {len(doc['collections'])}")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return doc, lines, EXIT_OK
 
 
-def cmd_actions(args) -> int:
-    rays, name = _load_rays(args)
-    c = classify_rays(rays)
+def cmd_actions(args) -> _Result:
+    fan, name = _load_fan(args)
+    c = classify(fan)
     doc = _classification_doc(c, name)
     if not c.admits_action:
         doc["actions"] = None
-        if args.format == "json":
-            _emit(args, json.dumps(doc, indent=2))
-        else:
-            _emit(args, f"fan: {name}\nadmits additive action: no")
-        return EXIT_OK
+        return doc, [f"fan: {name}", "admits additive action: no"], EXIT_OK
     assert c.family is not None and c.normalized_action is not None
     doc["ring"] = list(c.family.ring.names)
     doc["derivations"] = {
@@ -259,9 +257,6 @@ def cmd_actions(args) -> int:
         "non_normalized": list(c.non_normalized_action.image_strings())
         if c.non_normalized_action is not None else None,
     }
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-        return EXIT_OK
     lines = [f"fan: {name}",
              f"isomorphism classes: {c.num_classes}",
              "derivations:",
@@ -275,37 +270,27 @@ def cmd_actions(args) -> int:
         lines += [f"  {s}" for s in doc["actions"]["non_normalized"]]
     else:
         lines.append("non-normalized action: none (wide fan, single class)")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return doc, lines, EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    rays, name = _load_rays(args)
-    c = classify_rays(rays)
-    rep = verification_report(c, box=args.box, seed=_seed(args))
+def cmd_verify(args) -> _Result:
+    fan, name = _load_fan(args)
+    rep = verification_report(classify(fan), box=args.box, seed=_seed(args))
     rep["name"] = name
-    if args.format == "json":
-        _emit(args, json.dumps(rep, indent=2))
-    else:
-        lines = [f"fan: {name}"]
-        for check, ok in rep["checks"].items():
-            lines.append(f"{check}: {'PASS' if ok else 'FAIL'}")
-        lines.append("all checks passed" if rep["all_pass"]
-                     else "SOME CHECKS FAILED")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
+    lines = [f"fan: {name}"]
+    for check, ok in rep["checks"].items():
+        lines.append(f"{check}: {'PASS' if ok else 'FAIL'}")
+    lines.append("all checks passed" if rep["all_pass"]
+                 else "SOME CHECKS FAILED")
+    return rep, lines, EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
 
 
-def cmd_render(args) -> int:
-    rays, name = _load_rays(args)
-    fan = build_fan(rays)
-    rs = all_roots(fan)
-    svg = fan_svg(fan, rs, title=name)
-    _emit(args, svg)
-    return EXIT_OK
+def cmd_render(args) -> _Result:
+    fan, name = _load_fan(args)
+    return None, [fan_svg(fan, all_roots(fan), title=name)], EXIT_OK
 
 
-def cmd_examples(args) -> int:
+def cmd_examples(args) -> _Result:
     rows = []
     for name in example_names():
         if name == "f:a":
@@ -313,49 +298,40 @@ def cmd_examples(args) -> int:
         else:
             rows.append((name, " ".join(_ray_str(r).replace(" ", "")
                                         for r in example_fan(name))))
-    if args.format == "json":
-        doc = {name: rays for name, rays in rows}
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        width = max(len(name) for name, _ in rows)
-        _emit(args, "\n".join(f"{name:<{width}}  {rays}"
-                              for name, rays in rows))
-    return EXIT_OK
+    width = max(len(name) for name, _ in rows)
+    return (dict(rows), [f"{name:<{width}}  {rays}" for name, rays in rows],
+            EXIT_OK)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> _Result:
     report = run_sweep(bound=args.bound, min_rays=args.min_rays,
                        max_rays=args.max_rays, heavy=not args.light,
                        heavy_stride=args.heavy_stride,
                        nonadmitting_stride=args.nonadmitting_stride,
                        box=args.box, seed=_seed(args))
-    doc = report.to_json()
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
+    lines = [
+        f"pool bound: {report.bound}, "
+        f"rays {report.min_rays}..{report.max_rays}",
+        f"complete fans: {report.total_fans}",
+        f"admitting an additive action: {report.admitting}",
+        f"wide (single class): {report.wide}",
+        "class counts: " + ", ".join(
+            f"{k} -> {v}"
+            for k, v in sorted(report.num_classes_counts.items())),
+        "d histogram: " + (", ".join(
+            f"{k} -> {v}"
+            for k, v in sorted(report.d_histogram.items())) or "empty"),
+        f"heavy checked: {report.heavy_checked}, "
+        f"non-admitting sampled: {report.nonadmitting_sampled}",
+        f"light time: {report.t_enumerate_light:.2f}s, "
+        f"heavy time: {report.t_heavy:.2f}s",
+    ]
+    if report.all_clean:
+        lines.append("no violations")
     else:
-        lines = [
-            f"pool bound: {report.bound}, "
-            f"rays {report.min_rays}..{report.max_rays}",
-            f"complete fans: {report.total_fans}",
-            f"admitting an additive action: {report.admitting}",
-            f"wide (single class): {report.wide}",
-            "class counts: " + ", ".join(
-                f"{k} -> {v}"
-                for k, v in sorted(report.num_classes_counts.items())),
-            "d histogram: " + (", ".join(
-                f"{k} -> {v}"
-                for k, v in sorted(report.d_histogram.items())) or "empty"),
-            f"heavy checked: {report.heavy_checked}, "
-            f"non-admitting sampled: {report.nonadmitting_sampled}",
-            f"light time: {report.t_enumerate_light:.2f}s, "
-            f"heavy time: {report.t_heavy:.2f}s",
-        ]
-        if report.all_clean:
-            lines.append("no violations")
-        else:
-            lines.append(f"VIOLATIONS: {report.violation_counts}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if report.all_clean else EXIT_INTERNAL
+        lines.append(f"VIOLATIONS: {report.violation_counts}")
+    return (report.to_json(), lines,
+            EXIT_OK if report.all_clean else EXIT_INTERNAL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +402,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, lines, code = args.func(args)
+        if args.format == "json" and doc is not None:
+            _emit(args, json.dumps(doc, indent=2))
+        else:
+            _emit(args, "\n".join(lines))
+        return code
     except (FanValidationError, UnsupportedDimension, ZeroVector,
             LengthMismatch) as exc:
         print(f"invalid fan: {exc}", file=sys.stderr)

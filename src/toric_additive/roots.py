@@ -50,9 +50,6 @@ class RootSystem:
     regular_vector: LatticeVec | None
     positive: tuple[CharVec, ...] | None
 
-    def all_roots(self) -> tuple[DemazureRoot, ...]:
-        return tuple(sorted(r for rs in self.per_ray for r in rs))
-
     def roots_of_ray(self, i: int) -> tuple[CharVec, ...]:
         return tuple(r.e for r in self.per_ray[i])
 
@@ -150,9 +147,9 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
     """Choose a one parameter subgroup u that cuts a positive system.
 
     Requirements: <u, e> != 0 for every semisimple root e, <u, w> < 0 for
-    every root w attached to a ray outside the basis, and, when both
-    p1* - p2* and its negative are semisimple roots, <u, p1* - p2*> > 0 so
-    that the first basis ray keeps exactly one positive root.
+    both dual vectors w of the basis, and, when both p1* - p2* and its
+    negative are semisimple roots, <u, p1* - p2*> > 0 so that the first
+    basis ray keeps exactly one positive root.
 
     The search tries u0 = -(p1 + p2) first and then scans Q*u0 + delta for
     Q = 1, 2, ... with delta on a deterministic square spiral, accepting the
@@ -161,8 +158,10 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
     i1, i2 = basis.basis_indices
     p1, p2 = fan.rays[i1], fan.rays[i2]
     semi = tuple(semisimple)
-    nonbasis_roots = {r.e for j in basis.nonbasis_indices
-                      for r in enumerate_roots_at(fan, j)}
+    # Roots on non-basis rays lie among the duals d1, d2.  u0 pairs to -1
+    # with both, and the search only leaves u0 on P^2-like fans, whose
+    # non-basis roots are exactly d1, d2; so constraining by both duals
+    # picks the same u without enumerating the non-basis rays.
     d1, d2 = basis.duals[0], basis.duals[1]
     eplus = vsub(d1, d2)
     semi_set = set(semi)
@@ -174,7 +173,7 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
             u = (base[0] + dx, base[1] + dy)
             if any(pairing(u, e) == 0 for e in semi):
                 continue
-            if any(pairing(u, w) >= 0 for w in nonbasis_roots):
+            if pairing(u, d1) >= 0 or pairing(u, d2) >= 0:
                 continue
             if sign_constrained and pairing(u, eplus) <= 0:
                 continue

@@ -44,9 +44,7 @@ from .lattice import fraction_rank, pairing
 from .roots import DemazureRoot, roots_by_ray
 
 
-def brute_force_roots(fan: Fan2, box: int = 10, *,
-                      cone_condition: bool = True
-                      ) -> frozenset[DemazureRoot]:
+def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
     """All roots with both coordinates in [-box, box], by direct scan."""
     found = set()
     for ex in range(-box, box + 1):
@@ -58,9 +56,8 @@ def brute_force_roots(fan: Fan2, box: int = 10, *,
                     continue
                 if any(w < 0 for j, w in enumerate(vals) if j != i):
                     continue
-                if cone_condition and any(
-                        w == 0 and not adjacent(fan, i, j)
-                        for j, w in enumerate(vals) if j != i):
+                if any(w == 0 and not adjacent(fan, i, j)
+                       for j, w in enumerate(vals) if j != i):
                     continue
                 found.add(DemazureRoot(e=e, ray=i))
     return frozenset(found)

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -79,11 +81,12 @@ def test_classify_json_golden(capsys):
     assert doc["root_counts"] == [1, 2, 1, 0]
 
 
+NO_ACTION_TEXT = "1 0\n-1 3\n0 -1\n-1 -1\n1 -2\n"
+
+
 @pytest.fixture
 def no_action_stdin(monkeypatch):
-    import io
-    monkeypatch.setattr(
-        "sys.stdin", io.StringIO("1 0\n-1 3\n0 -1\n-1 -1\n1 -2\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(NO_ACTION_TEXT))
 
 
 def test_classify_text_non_admitting(no_action_stdin, capsys):
@@ -176,12 +179,16 @@ def test_invalid_fan_exit_2(capsys, monkeypatch, tmp_path):
     assert "angular gap" in err
 
 
+FAN_COMMANDS = ("validate", "roots", "classify", "actions", "verify", "render")
+
+
 def test_rank_3_input_rejected(capsys, tmp_path):
     f = tmp_path / "p3.txt"
     f.write_text("1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
-    code, _, err = run_cli(capsys, "classify", "--input", str(f))
-    assert code == 2
-    assert "rank" in err
+    for cmd in FAN_COMMANDS:
+        code, _, err = run_cli(capsys, cmd, "--input", str(f))
+        assert code == 2, cmd
+        assert "rank" in err, cmd
 
 
 def test_unknown_example_exit_1(capsys):
@@ -200,6 +207,15 @@ def test_bad_json_exit_1(capsys, tmp_path):
     f.write_text('{"rays": [[1, 0],')
     code, _, err = run_cli(capsys, "classify", "--input", str(f))
     assert code == 1
+    # coordinates must be JSON integers: nothing is rounded or coerced
+    for rays, named in (('[[1.5, 0], [0, 1], [-1, -1]]', "ray 1"),
+                        ('[[1, 0], [true, 1], [-1, -1]]', "ray 2"),
+                        ('["10", [0, 1], [-1, -1]]', "ray 1"),
+                        ('5', '"rays"')):
+        f.write_text(f'{{"rays": {rays}}}')
+        code, out, err = run_cli(capsys, "classify", "--input", str(f))
+        assert (code, out) == (1, ""), rays
+        assert named in err and "Traceback" not in err, rays
 
 
 def test_missing_file_exit_1(capsys, tmp_path):
@@ -283,6 +299,19 @@ def test_hirzebruch_family_parameter(capsys):
     assert doc["num_classes"] == 2
 
 
+def test_demos_run(tmp_path):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    env = _subprocess_env()
+    for argv in (["tour_projective_plane.py"], ["tour_catalog.py"],
+                 ["render_fan.py", "p112", str(tmp_path / "f.svg")]):
+        out = subprocess.run([sys.executable, str(demos / argv[0])]
+                             + argv[1:], capture_output=True, text=True,
+                             env=env, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert "FAIL" not in out.stdout, out.stdout
+    assert (tmp_path / "f.svg").read_text().lstrip().startswith("<svg")
+
+
 def test_sweep_small(capsys, monkeypatch):
     monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
     code, out, _ = run_cli(capsys, "sweep", "--bound", "1",
@@ -343,3 +372,37 @@ def test_console_script_subprocess():
          "--example", "nosuch"],
         capture_output=True, text=True, env=env)
     assert bad.returncode == 1
+
+
+# One sha256 (first 16 hex digits) per subcommand over "cmd/fan/format/exit"
+# and stdout, for every fan below in both formats.  "-" is the
+# non-admitting fan of no_action_stdin read from stdin.  Stdout bytes and
+# exit codes are part of the CLI contract: a digest changes only with a
+# deliberate change of output.
+STDOUT_CONTRACT = {
+    "validate": "d85d21566aeed6e9",
+    "roots": "028990e85b2904c4",
+    "classify": "b736a2711813500f",
+    "actions": "f9992e54f4471467",
+    "verify": "39053972653d51cb",
+    "render": "9d2181f96d1d5c33",
+    "examples": "8131956e6275e881",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(STDOUT_CONTRACT))
+def test_stdout_contract(cmd, capsys, monkeypatch):
+    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+    fans = [None] if cmd == "examples" else ["p2", "wide", "f:5", "-"]
+    h = hashlib.sha256()
+    for fan in fans:
+        for fmt in ("text", "json"):
+            argv = [cmd, "--format", fmt]
+            if fan == "-":
+                monkeypatch.setattr("sys.stdin", io.StringIO(NO_ACTION_TEXT))
+                argv += ["--input", "-"]
+            elif fan is not None:
+                argv += ["--example", fan]
+            code, out, _ = run_cli(capsys, *argv)
+            h.update(f"{cmd}/{fan}/{fmt}/{code}\n{out}".encode())
+    assert h.hexdigest()[:16] == STDOUT_CONTRACT[cmd]
