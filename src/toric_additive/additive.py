@@ -33,7 +33,6 @@ from .roots import (
     RootSystem,
     all_roots,
     closed_form_counts,
-    enumerate_roots_at,
     roots_by_ray,
 )
 
@@ -140,9 +139,8 @@ def is_wide(fan: Fan2, basis: AdmissibleBasis) -> bool:
     criterion (some row has alpha1 > alpha2 and some row has alpha1 < alpha2).
     The two must agree.
     """
-    i1, i2 = basis.basis_indices
-    r1 = enumerate_roots_at(fan, i1)
-    r2 = enumerate_roots_at(fan, i2)
+    per_ray = roots_by_ray(fan)
+    r1, r2 = (per_ray[i] for i in basis.basis_indices)
     by_counts = len(r1) == 1 and len(r2) == 1
     if by_counts and (r1[0].e != vneg(basis.duals[0])
                       or r2[0].e != vneg(basis.duals[1])):

@@ -47,6 +47,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 1)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_ray_text(text: str) -> list[tuple[int, int]]:
     rays = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_actions)
     p = sub.add_parser("verify", parents=[source, io],
                        help="run all verification oracles on one fan")
-    p.add_argument("--box", type=int, default=10,
+    p.add_argument("--box", type=_int_at_least(0), default=10,
                    help="half-width of the brute force root search box")
     p.set_defaults(func=cmd_verify)
     p = sub.add_parser("render", parents=[source, io],
@@ -389,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rays", type=int, default=6)
     p.add_argument("--light", action="store_true",
                    help="skip the per-fan symbolic verification phase")
-    p.add_argument("--heavy-stride", type=int, default=1,
+    p.add_argument("--heavy-stride", type=_int_at_least(1), default=1,
                    help="verify every N-th admitting fan")
-    p.add_argument("--nonadmitting-stride", type=int, default=997,
+    p.add_argument("--nonadmitting-stride", type=_int_at_least(1),
+                   default=997,
                    help="sample rate for double-checking non-admitting fans")
-    p.add_argument("--box", type=int, default=10)
+    p.add_argument("--box", type=_int_at_least(0), default=10)
     p.set_defaults(func=cmd_sweep)
     return parser
 

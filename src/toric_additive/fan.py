@@ -53,6 +53,8 @@ class Fan2:
     cyclic_order: tuple[int, ...]
     maximal_cones: tuple[tuple[int, int], ...]
     _adjacency: frozenset[frozenset[int]] = field(repr=False)
+    _roots_by_ray: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def nrays(self) -> int:

@@ -109,8 +109,11 @@ def enumerate_roots_at(fan: Fan2, i: int, *, cone_condition: bool = True
 
 def roots_by_ray(fan: Fan2, *, cone_condition: bool = True
                  ) -> tuple[tuple[DemazureRoot, ...], ...]:
-    return tuple(enumerate_roots_at(fan, i, cone_condition=cone_condition)
-                 for i in range(fan.nrays))
+    if cone_condition not in fan._roots_by_ray:
+        fan._roots_by_ray[cone_condition] = tuple(
+            enumerate_roots_at(fan, i, cone_condition=cone_condition)
+            for i in range(fan.nrays))
+    return fan._roots_by_ray[cone_condition]
 
 
 def split_semisimple(per_ray: Sequence[Sequence[DemazureRoot]]

@@ -16,7 +16,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Callable, Iterator
 
-from .additive import classify, find_admissible_basis
+from .additive import classify
 from .fan import _angular_cmp, build_fan, cross
 from .lattice import (
     LatticeVec,
@@ -241,9 +241,6 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
             progress("heavy", report.heavy_checked)
     for rays in nonadmitting_picks:
         report.nonadmitting_sampled += 1
-        if find_admissible_basis(rays, validate=False) is not None:
-            report.record_violation("nonadmitting_mismatch", {"rays": rays})
-            continue
         c = classify(build_fan(rays), with_actions=False)
         if c.admits_action or c.num_classes != 0 or c.collections:
             report.record_violation("nonadmitting_mismatch", {"rays": rays})

@@ -225,15 +225,16 @@ def test_missing_file_exit_1(capsys, tmp_path):
 
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["classify"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["classify", "--example", "p2", "--input", "x.txt"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 1
+    for argv in (["classify"],
+                 ["classify", "--example", "p2", "--input", "x.txt"],
+                 [],
+                 ["sweep", "--bound", "1", "--heavy-stride", "0"],
+                 ["sweep", "--bound", "1", "--nonadmitting-stride", "0"],
+                 ["verify", "--example", "p2", "--box", "-1"],
+                 ["sweep", "--bound", "1", "--box", "-1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
 
 
 def test_json_input_with_name_and_normalization(capsys, tmp_path):

@@ -1,10 +1,13 @@
+import dataclasses
 import random
 from math import gcd
 
 import pytest
 
-from toric_additive.additive import find_admissible_basis
+import toric_additive.roots
+from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
+from toric_additive.cli import main
 from toric_additive.errors import NotRegular
 from toric_additive.fan import build_fan
 from toric_additive.lattice import pairing, vneg
@@ -17,6 +20,7 @@ from toric_additive.roots import (
     select_regular_vector,
     split_semisimple,
 )
+from toric_additive.verify import verification_report
 
 # per-ray root sets and the positive system of the four classical surfaces
 GOLDEN = {
@@ -267,3 +271,36 @@ def test_brute_force_agreement_random_fans():
                     if max(abs(e[0]), abs(e[1])) <= 12} == brute[i]
             # box is generous enough to see every root of these small fans
             assert exact == brute[i]
+
+
+def test_roots_enumerated_once_per_fan(monkeypatch, capsys):
+    calls = []
+    enumerate_at = toric_additive.roots.enumerate_roots_at
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_at(*args, **kwargs)
+
+    monkeypatch.setattr(toric_additive.roots, "enumerate_roots_at", counting)
+    c = classify(build_fan(example_fan("f1")))
+    assert verification_report(c)["all_pass"]
+    # 4 rays, once with the cone condition and once without
+    assert len(calls) == 8
+    assert roots_by_ray(c.fan) is c.root_system.per_ray
+    calls.clear()
+    assert main(["roots", "--example", "f1"]) == 0
+    assert len(calls) == 4
+
+
+def test_root_memo_leaves_fan_identity():
+    rays = example_fan("f1")
+    fan = build_fan(rays)
+    per_ray = roots_by_ray(fan)
+    roots_by_ray(fan, cone_condition=False)
+    fresh = build_fan(rays)
+    assert fan == fresh
+    assert hash(fan) == hash(fresh)
+    assert repr(fan) == repr(fresh)
+    copy = dataclasses.replace(fan)
+    assert roots_by_ray(copy) == per_ray
+    assert roots_by_ray(copy) is not per_ray
