@@ -397,10 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_examples)
     p = sub.add_parser("sweep", parents=[io],
                        help="enumerate small complete fans and cross-check")
-    p.add_argument("--bound", type=int, default=3,
+    p.add_argument("--bound", type=_int_at_least(1), default=3,
                    help="coordinate bound for the primitive ray pool")
-    p.add_argument("--min-rays", type=int, default=3)
-    p.add_argument("--max-rays", type=int, default=6)
+    # a complete rank-2 fan has at least three rays
+    p.add_argument("--min-rays", type=_int_at_least(3), default=3)
+    p.add_argument("--max-rays", type=int, default=6,
+                   help="at least --min-rays")
     p.add_argument("--light", action="store_true",
                    help="skip the per-fan symbolic verification phase")
     p.add_argument("--heavy-stride", type=_int_at_least(1), default=1,
@@ -416,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.max_rays < args.min_rays:
+        parser.error(f"argument --max-rays: expected an integer >= "
+                     f"--min-rays ({args.min_rays}), got {args.max_rays}")
     try:
         doc, lines, code = args.func(args)
         if args.format == "json" and doc is not None:

@@ -50,6 +50,13 @@ class PolyRing:
             raise VariableMismatch(f"unknown generator {name!r}") from None
 
 
+def _exact(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything inexact is refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def action_ring(m: int) -> PolyRing:
     """Ring for m Cox coordinates plus two pairs of group parameters."""
     names = tuple(f"x{i}" for i in range(1, m + 1)) + ("s1", "s2", "r1", "r2")
@@ -85,7 +92,7 @@ class Poly:
 
     @classmethod
     def const(cls, ring: PolyRing, c) -> "Poly":
-        return cls(ring, {(0,) * ring.nvars: Fraction(c)})
+        return cls(ring, {(0,) * ring.nvars: _exact(c)})
 
     @classmethod
     def var(cls, ring: PolyRing, i: int) -> "Poly":
@@ -196,7 +203,7 @@ class Poly:
     def eval(self, values: Sequence) -> Fraction:
         if len(values) != self.ring.nvars:
             raise VariableMismatch("need one value per generator")
-        vals = [Fraction(v) for v in values]
+        vals = [_exact(v) for v in values]
         total = Fraction(0)
         for e, c in self.terms.items():
             prod = c
@@ -604,7 +611,7 @@ class TorusChar:
     exponents: tuple[int, ...]
 
     def value_at(self, t: Sequence) -> Fraction:
-        vals = [Fraction(v) for v in t]
+        vals = [_exact(v) for v in t]
         if any(v == 0 for v in vals):
             raise ZeroTorusEntry("torus points have nonzero coordinates")
         out = Fraction(1)
@@ -625,7 +632,7 @@ def torus_conjugate(d: Derivation, t: Sequence) -> Derivation:
 
     Entries beyond len(t) (the group parameters) must be zero.
     """
-    vals = [Fraction(v) for v in t]
+    vals = [_exact(v) for v in t]
     if any(v == 0 for v in vals):
         raise ZeroTorusEntry("torus points have nonzero coordinates")
     ring = d.ring

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
@@ -22,7 +23,7 @@ def pairing(p: LatticeVec, e: CharVec) -> int:
     """Canonical pairing <p, e> between N and M."""
     if len(p) != len(e):
         raise LengthMismatch(f"pairing of lengths {len(p)} and {len(e)}")
-    return sum(a * b for a, b in zip(p, e))
+    return sum(map(mul, p, e))
 
 
 def vadd(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

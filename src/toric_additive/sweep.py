@@ -4,8 +4,10 @@ The pool consists of all primitive vectors with coordinates bounded by a
 constant, sorted by angle.  Complete fans are exactly the ascending index
 chains whose consecutive rays (cyclically) span less than a half turn, so a
 depth-first walk enumerates each fan once.  Existence of an additive action
-is decided per fan from precomputed pair tables in integer arithmetic; the
-expensive symbolic verification runs on the admitting fans afterwards.
+is decided from precomputed pair tables in integer arithmetic: the walk
+carries each chain's admissible pairs down to its fans, so a fan that
+admits no action costs nothing beyond the walk.  The expensive symbolic
+verification runs on the admitting fans afterwards.
 """
 
 from __future__ import annotations
@@ -38,27 +40,58 @@ def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
     return tuple(sorted(vecs, key=cmp_to_key(_angular_cmp)))
 
 
+def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
+          bad: list[list[int | None]]
+          ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
+    """Depth-first walk over the complete fans of the pool.
+
+    Yields (chain, pairs) once per complete fan: chain is the fan's
+    ascending list of pool indices, and pairs lists (i, j, bad[i][j]) for
+    every pair i < j of the chain whose table exists and whose bad mask
+    misses the chain.  Both are carried down the walk rather than rebuilt
+    per fan: extending the chain by ray k drops the pairs whose bad mask
+    has bit k and adds the admissible pairs (i, k).  The yielded lists are
+    the walk's own and only valid until the next step.
+    """
+    n = len(pool)
+    cr = [[cross(pool[i], pool[j]) for j in range(n)] for i in range(n)]
+    succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
+    bits = [1 << k for k in range(n)]
+    # partners[k]: the rays i < k that form a pair table with k
+    partners = [[(bits[i], i, bad[i][k]) for i in range(k)
+                 if bad[i][k] is not None] for k in range(n)]
+
+    for start in range(n):
+        closes = [cr[k][start] > 0 for k in range(n)]
+        # the last ray of a longest chain is only worth adding if it closes
+        closing_succ = [[k for k in s if closes[k]] for s in succ]
+        chain = [start]
+
+        def extend(last: int, mask: int, pairs: list, depth: int):
+            for k in succ[last] if depth < max_rays else closing_succ[last]:
+                bit = bits[k]
+                grown = mask | bit
+                kept = [p for p in pairs if not p[2] & bit]
+                for bit_i, i, b in partners[k]:
+                    if mask & bit_i and not b & grown:
+                        kept.append((i, k, b))
+                chain.append(k)
+                if depth >= min_rays and closes[k]:
+                    yield chain, kept
+                if depth < max_rays:
+                    yield from extend(k, grown, kept, depth + 1)
+                chain.pop()
+
+        yield from extend(start, bits[start], [], 2)
+
+
 def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
                             max_rays: int = 6
                             ) -> Iterator[tuple[LatticeVec, ...]]:
     """Complete fans whose rays come from the pool, as angularly sorted tuples."""
-    n = len(pool)
-    cr = [[cross(pool[i], pool[j]) for j in range(n)] for i in range(n)]
-    succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
-
-    def walk(start: int, chain: list[int]) -> Iterator[tuple[LatticeVec, ...]]:
-        last = chain[-1]
-        if len(chain) >= min_rays and cr[last][start] > 0:
-            yield tuple(pool[i] for i in chain)
-        if len(chain) == max_rays:
-            return
-        for j in succ[last]:
-            chain.append(j)
-            yield from walk(start, chain)
-            chain.pop()
-
-    for start in range(n):
-        yield from walk(start, [start])
+    no_pairs = [[None] * len(pool)] * len(pool)
+    for chain, _ in _walk(pool, min_rays, max_rays, no_pairs):
+        yield tuple(pool[i] for i in chain)
 
 
 def _pair_tables(pool: tuple[LatticeVec, ...]):
@@ -67,7 +100,7 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
     bad[i][j] is a bitmask of pool members outside the closed negative
     octant of (pool[i], pool[j]); a fan containing i and j admits an
     additive action through that pair iff none of its rays hits the mask.
-    ratio[i][j] holds the octant coordinates of every pool member inside,
+    coords[i][j] holds the octant coordinates of every pool member inside,
     for the cheap integer computation of the degree parameter d.
     """
     n = len(pool)
@@ -148,73 +181,58 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     """Enumerate all complete fans from the pool and cross-check them.
 
     The light phase (timed as t_enumerate_light) decides existence for every
-    fan by integer arithmetic, tallies the class statistics, checks that the
-    degree parameter d is independent of the admitting pair used to compute
-    it, and confirms the closed-form basis-ray root counts against a direct
-    interval enumeration.  The heavy phase re-runs the full symbolic
-    pipeline plus all verification oracles on every heavy_stride-th
-    admitting fan and on the sampled non-admitting fans.
+    fan by integer arithmetic during the walk, tallies the class statistics,
+    checks that the degree parameter d is independent of the admitting pair
+    used to compute it, and confirms the closed-form basis-ray root counts
+    against a direct interval enumeration.  The heavy phase re-runs the full
+    symbolic pipeline plus all verification oracles on every heavy_stride-th
+    admitting fan and on the sampled non-admitting fans; only a heavy sweep
+    keeps the admitting fans for it.
     """
     report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     pool = primitive_pool(bound)
-    index_of = {v: k for k, v in enumerate(pool)}
     bad, coords = _pair_tables(pool)
 
     t0 = time.perf_counter()
     admitting_fans: list[tuple[tuple[LatticeVec, ...], int]] = []
     nonadmitting_seen = 0
     nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
-    for rays in enumerate_complete_fans(pool, min_rays, max_rays):
+    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
         report.total_fans += 1
-        idx = [index_of[r] for r in rays]
-        mask = 0
-        for k in idx:
-            mask |= 1 << k
-        degrees = []
-        first: tuple[int, int, int, int] | None = None
-        for a in range(len(idx)):
-            ia = idx[a]
-            for b in range(a + 1, len(idx)):
-                jb = idx[b]
-                i, j = (ia, jb) if ia < jb else (jb, ia)
-                bm = bad[i][j]
-                if bm is None or (mask & bm):
-                    continue
-                table = coords[i][j]
-                assert table is not None
-                rows = [table[k] for k in idx if k != i and k != j]
-                n1, n2 = octant_root_counts(rows)
-                degrees.append(max(n1, n2) - 1)
-                if first is None:
-                    first = (i, j, n1, n2)
-        if degrees:
-            d = degrees[0]
-            if any(x != d for x in degrees):
-                report.record_violation(
-                    "d_depends_on_basis", {"rays": rays, "degrees": degrees})
-            assert first is not None
-            i, j, n1, n2 = first
-            _, _, lo1, hi1 = root_interval(rays, idx.index(i))
-            _, _, lo2, hi2 = root_interval(rays, idx.index(j))
-            got = (max(hi1 - lo1 + 1, 0), max(hi2 - lo2 + 1, 0))
-            if got != (n1, n2):
-                report.record_violation(
-                    "root_count_mismatch",
-                    {"rays": rays, "closed_form": (n1, n2), "interval": got})
-            report.admitting += 1
-            report.d_histogram[d] = report.d_histogram.get(d, 0) + 1
-            ncls = 1 if d == 0 else 2
-            if d == 0:
-                report.wide += 1
-            report.num_classes_counts[ncls] = \
-                report.num_classes_counts.get(ncls, 0) + 1
-            admitting_fans.append((rays, d))
-        else:
-            report.num_classes_counts[0] = \
-                report.num_classes_counts.get(0, 0) + 1
+        if not pairs:
             if nonadmitting_seen % nonadmitting_stride == 0:
-                nonadmitting_picks.append(rays)
+                nonadmitting_picks.append(tuple(pool[k] for k in chain))
             nonadmitting_seen += 1
+            continue
+        pairs = sorted(pairs)
+        counts = [octant_root_counts([coords[i][j][k] for k in chain
+                                      if k != i and k != j])
+                  for i, j, _ in pairs]
+        degrees = [max(n1, n2) - 1 for n1, n2 in counts]
+        rays = tuple(pool[k] for k in chain)
+        d = degrees[0]
+        if any(x != d for x in degrees):
+            report.record_violation(
+                "d_depends_on_basis", {"rays": rays, "degrees": degrees})
+        (i, j, _), (n1, n2) = pairs[0], counts[0]
+        _, _, lo1, hi1 = root_interval(rays, chain.index(i))
+        _, _, lo2, hi2 = root_interval(rays, chain.index(j))
+        got = (max(hi1 - lo1 + 1, 0), max(hi2 - lo2 + 1, 0))
+        if got != (n1, n2):
+            report.record_violation(
+                "root_count_mismatch",
+                {"rays": rays, "closed_form": (n1, n2), "interval": got})
+        report.admitting += 1
+        report.d_histogram[d] = report.d_histogram.get(d, 0) + 1
+        ncls = 1 if d == 0 else 2
+        if d == 0:
+            report.wide += 1
+        report.num_classes_counts[ncls] = \
+            report.num_classes_counts.get(ncls, 0) + 1
+        if heavy:
+            admitting_fans.append((rays, d))
+    if nonadmitting_seen:
+        report.num_classes_counts[0] = nonadmitting_seen
     report.t_enumerate_light = time.perf_counter() - t0
     if progress:
         progress("light", report.total_fans)

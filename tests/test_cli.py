@@ -231,7 +231,11 @@ def test_usage_error_exits_1(capsys):
                  ["sweep", "--bound", "1", "--heavy-stride", "0"],
                  ["sweep", "--bound", "1", "--nonadmitting-stride", "0"],
                  ["verify", "--example", "p2", "--box", "-1"],
-                 ["sweep", "--bound", "1", "--box", "-1"]):
+                 ["sweep", "--bound", "1", "--box", "-1"],
+                 ["sweep", "--bound", "0", "--light"],
+                 ["sweep", "--bound", "1", "--min-rays", "9",
+                  "--max-rays", "3", "--light"],
+                 ["sweep", "--bound", "1", "--max-rays", "1", "--light"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1, argv

@@ -10,6 +10,7 @@ from toric_additive.coxring import (
     ActionMap,
     Poly,
     PolyRing,
+    TorusChar,
     action_ring,
     build_lnd_family,
     character_of,
@@ -316,6 +317,33 @@ def test_torus_conjugate_rejects_parameter_motion():
     dv = derivation(ring, {ring.index("s1"): Poly.const(ring, 1)})
     with pytest.raises(NotApplicable):
         torus_conjugate(dv, (1, 1))
+
+
+def test_poly_const_refuses_float():
+    with pytest.raises(TypeError, match="0.1"):
+        Poly.const(R3, 0.1)
+    assert Poly.const(R3, Fraction(1, 10)).eval([1] * R3.nvars) \
+        == Fraction(1, 10)
+
+
+def test_poly_eval_refuses_float():
+    p = parse_poly(R3, "x1*x2")
+    with pytest.raises(TypeError, match="0.1"):
+        p.eval([0.1, 1, 1, 0, 0, 0, 0])
+    assert p.eval([Fraction(1, 10), 1, 1, 0, 0, 0, 0]) == Fraction(1, 10)
+
+
+def test_torus_char_value_at_refuses_float():
+    with pytest.raises(TypeError, match="0.1"):
+        TorusChar((1, 0, 0)).value_at([0.1, 1, 1])
+    assert TorusChar((1, 0, 0)).value_at([Fraction(1, 10), 1, 1]) \
+        == Fraction(1, 10)
+
+
+def test_torus_conjugate_refuses_float():
+    dv = lnd_from_root(action_ring(3), example_fan("p2"), (-1, 0), 0)
+    with pytest.raises(TypeError, match="0.5"):
+        torus_conjugate(dv, (1, 0.5, 1))
 
 
 def test_build_lnd_family_brackets():
