@@ -24,6 +24,8 @@ from .fan import Fan2, build_fan
 from .lattice import (
     CharVec,
     LatticeVec,
+    int_rays,
+    octant_coords,
     pairing,
     unimodular_duals,
     vneg,
@@ -32,7 +34,7 @@ from .roots import (
     DemazureRoot,
     RootSystem,
     all_roots,
-    closed_form_counts,
+    octant_root_counts,
     roots_by_ray,
 )
 
@@ -57,7 +59,7 @@ class AdmissibleBasis:
 def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
                       ) -> Iterator[AdmissibleBasis]:
     """Admissible bases in lexicographic order of index tuples."""
-    clean = tuple(tuple(int(c) for c in r) for r in rays)
+    clean = int_rays(rays)
     if not clean:
         return
     n = len(clean[0])
@@ -71,8 +73,8 @@ def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
         nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
         alpha = []
         for j in nonbasis:
-            row = tuple(-pairing(clean[j], dk) for dk in duals)
-            if any(c < 0 for c in row):
+            row = octant_coords(clean[j], duals)
+            if min(row) < 0:
                 break
             alpha.append(row)
         else:
@@ -202,7 +204,7 @@ def classify(fan: Fan2, *, with_actions: bool = True) -> Classification:
     if basis is None:
         return Classification(fan=fan, admits_action=False, num_classes=0,
                               collections=collections)
-    n1, n2 = closed_form_counts(basis)
+    n1, n2 = octant_root_counts(basis.alpha)
     if n1 > n2:
         basis = _swapped(basis)
         n1, n2 = n2, n1
@@ -242,7 +244,7 @@ def classify(fan: Fan2, *, with_actions: bool = True) -> Classification:
 def classify_rays(rays: Sequence[Sequence[int]], *,
                   with_actions: bool = True) -> Classification:
     """Validate rays as a complete rank 2 fan, then classify."""
-    clean = tuple(tuple(int(c) for c in r) for r in rays)
+    clean = int_rays(rays)
     if clean and len(clean[0]) != 2:
         raise UnsupportedDimension(
             f"classification is implemented for rank 2 fans; got vectors "

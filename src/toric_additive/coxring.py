@@ -74,7 +74,7 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if not c:
                     continue
                 exps = tuple(exps)
@@ -92,17 +92,17 @@ class Poly:
 
     @classmethod
     def const(cls, ring: PolyRing, c) -> "Poly":
-        return cls(ring, {(0,) * ring.nvars: _exact(c)})
+        return cls(ring, {(0,) * ring.nvars: c})
 
     @classmethod
     def var(cls, ring: PolyRing, i: int) -> "Poly":
         exps = [0] * ring.nvars
         exps[i] = 1
-        return cls(ring, {tuple(exps): Fraction(1)})
+        return cls(ring, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, ring: PolyRing, exps: Sequence[int], c=1) -> "Poly":
-        return cls(ring, {tuple(exps): Fraction(c)})
+        return cls(ring, {tuple(exps): c})
 
     @property
     def is_zero(self) -> bool:
@@ -136,8 +136,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Poly):
+            c = _exact(other)
             out = Poly.__new__(Poly)
             out.ring = self.ring
             out.terms = {} if not c else {e: k * c for e, k in self.terms.items()}
@@ -337,6 +337,8 @@ class _Parser:
                 kind2, val2 = self.take()
                 if kind2 != "int":
                     raise VariableMismatch("fraction needs integer denominator")
+                if not val2:
+                    raise VariableMismatch(f"zero denominator in {num}/0")
                 return Poly.const(self.ring, Fraction(num, int(val2)))  # type: ignore[arg-type]
             return Poly.const(self.ring, num)
         raise VariableMismatch(f"unexpected token {val!r}")
@@ -718,7 +720,7 @@ def normal_form(mu: Sequence, family: LndFamily) -> NormalFormResult:
     if d == 0:
         raise NotApplicable(
             "a single isomorphism class admits no normal form step")
-    coeffs = [Fraction(c) for c in mu]
+    coeffs = [_exact(c) for c in mu]
     if len(coeffs) != d + 1:
         raise NotApplicable(
             f"need coefficients for partials[0..{d}], got {len(coeffs)}")

@@ -4,7 +4,7 @@ A complete 2D fan is determined by its rays: the maximal cones are exactly
 the consecutive pairs in the angular (counterclockwise) order.  Sorting and
 the completeness test use only integer sign computations: a vector is
 classified into the upper or lower half plane, and vectors within a half
-plane are compared by the sign of their cross product.  No angles are ever
+plane are compared by the sign of their determinant.  No angles are ever
 computed in floating point.
 """
 
@@ -20,11 +20,7 @@ from .errors import (
     NotPrimitive,
     TooFewRays,
 )
-from .lattice import LatticeVec, is_primitive
-
-
-def cross(u: LatticeVec, v: LatticeVec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
+from .lattice import LatticeVec, det2, int_rays, is_primitive
 
 
 def _half(v: LatticeVec) -> int:
@@ -37,7 +33,7 @@ def _angular_cmp(u: LatticeVec, v: LatticeVec) -> int:
     hu, hv = _half(u), _half(v)
     if hu != hv:
         return -1 if hu < hv else 1
-    c = cross(u, v)
+    c = det2(u, v)
     if c > 0:
         return -1
     if c < 0:
@@ -64,12 +60,13 @@ class Fan2:
 def build_fan(rays) -> Fan2:
     """Validate rays and assemble the complete fan they generate.
 
-    Raises NotPrimitive, DuplicateRay, NotComplete or TooFewRays.  The
+    Raises TypeError for a coordinate that is not an int, then
+    NotPrimitive, DuplicateRay, NotComplete or TooFewRays.  The
     completeness test (every angular gap strictly below half a turn) is run
     before the ray-count check, so two rays fail with NotComplete rather
     than TooFewRays.
     """
-    rays = tuple(tuple(int(c) for c in r) for r in rays)
+    rays = int_rays(rays)
     if not rays:
         raise TooFewRays(0)
     for i, r in enumerate(rays):
@@ -89,7 +86,7 @@ def build_fan(rays) -> Fan2:
     m = len(rays)
     for k in range(m):
         i, j = order[k], order[(k + 1) % m]
-        if cross(rays[i], rays[j]) <= 0:
+        if det2(rays[i], rays[j]) <= 0:
             raise NotComplete(i, j)
     if m < 3:
         raise TooFewRays(m)

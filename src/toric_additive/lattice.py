@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
 
@@ -67,36 +66,30 @@ def is_primitive(v: tuple[int, ...]) -> bool:
 
 
 def det2(p: LatticeVec, q: LatticeVec) -> int:
+    """2x2 determinant; p, q form a lattice basis iff it is +-1."""
     if len(p) != 2 or len(q) != 2:
         raise LengthMismatch("2x2 determinant needs two vectors of length 2")
     return p[0] * q[1] - p[1] * q[0]
 
 
-def is_basis(p: LatticeVec, q: LatticeVec) -> bool:
-    """True when p, q generate the full rank-2 lattice (determinant +-1)."""
-    return abs(det2(p, q)) == 1
+def int_rays(rays) -> tuple[LatticeVec, ...]:
+    """Rays as tuples of ints; any other coordinate (bool too) is refused."""
+    out = tuple(tuple(r) for r in rays)
+    for r in out:
+        for c in r:
+            if type(c) is not int:  # bool is an int subclass
+                raise TypeError(
+                    f"ray coordinates must be int, got {c!r} in {r!r}")
+    return out
 
 
-class DualBasis(NamedTuple):
-    originals: tuple[LatticeVec, LatticeVec]
-    duals: tuple[CharVec, CharVec]
+def octant_coords(v: LatticeVec, duals: tuple[CharVec, ...]
+                  ) -> tuple[int, ...]:
+    """Coordinates a with v = -sum a_k b_k over the basis b dual to duals.
 
-
-def dual_basis(p: LatticeVec, q: LatticeVec) -> DualBasis:
-    """Dual basis (p*, q*) in M with <p, p*> = <q, q*> = 1, cross pairings 0."""
-    d = det2(p, q)
-    if abs(d) != 1:
-        raise NotABasis(f"determinant {d} is not a unit")
-    ps = (q[1] // d, -q[0] // d)
-    qs = (-p[1] // d, p[0] // d)
-    return DualBasis(originals=(tuple(p), tuple(q)), duals=(ps, qs))
-
-
-def negative_octant_coords(v: LatticeVec, b: DualBasis) -> tuple[int, int, bool]:
-    """Coordinates (a1, a2) with v = -a1*p - a2*q, and whether both are >= 0."""
-    a1 = -pairing(v, b.duals[0])
-    a2 = -pairing(v, b.duals[1])
-    return a1, a2, a1 >= 0 and a2 >= 0
+    v lies in the closed negative octant of that basis iff every a_k >= 0.
+    """
+    return tuple(-pairing(v, d) for d in duals)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

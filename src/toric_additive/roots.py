@@ -243,7 +243,3 @@ def octant_root_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
 
     return side(0, 1), side(1, 0)
 
-
-def closed_form_counts(basis) -> tuple[int, int]:
-    """octant_root_counts of an admissible basis's octant coordinates."""
-    return octant_root_counts(basis.alpha)

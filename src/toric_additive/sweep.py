@@ -15,15 +15,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from math import gcd
 from typing import Callable, Iterator
 
 from .additive import classify
-from .fan import _angular_cmp, build_fan, cross
+from .fan import _angular_cmp, build_fan
 from .lattice import (
     LatticeVec,
-    dual_basis,
-    negative_octant_coords,
+    det2,
+    is_primitive,
+    octant_coords,
+    unimodular_duals,
 )
 from .roots import octant_root_counts, root_interval
 from .verify import verification_report
@@ -36,7 +37,7 @@ def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
     vecs = [(x, y)
             for x in range(-bound, bound + 1)
             for y in range(-bound, bound + 1)
-            if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1]
+            if is_primitive((x, y))]
     return tuple(sorted(vecs, key=cmp_to_key(_angular_cmp)))
 
 
@@ -54,7 +55,7 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
     the walk's own and only valid until the next step.
     """
     n = len(pool)
-    cr = [[cross(pool[i], pool[j]) for j in range(n)] for i in range(n)]
+    cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
     succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
     bits = [1 << k for k in range(n)]
     # partners[k]: the rays i < k that form a pair table with k
@@ -105,20 +106,20 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
     """
     n = len(pool)
     bad: list[list[int | None]] = [[None] * n for _ in range(n)]
-    coords: list[list[dict[int, tuple[int, int]] | None]] = \
+    coords: list[list[dict[int, tuple[int, ...]] | None]] = \
         [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(cr := cross(pool[i], pool[j])) != 1:
+            if abs(det2(pool[i], pool[j])) != 1:
                 continue
-            db = dual_basis(pool[i], pool[j])
+            duals = unimodular_duals([pool[i], pool[j]])
             mask = 0
-            inside: dict[int, tuple[int, int]] = {}
+            inside: dict[int, tuple[int, ...]] = {}
             for k, v in enumerate(pool):
-                a1, a2, ok = negative_octant_coords(v, db)
-                if ok:
+                a = octant_coords(v, duals)
+                if min(a) >= 0:
                     mask |= 1 << k
-                    inside[k] = (a1, a2)
+                    inside[k] = a
             full = (1 << n) - 1
             bad[i][j] = full & ~(mask | (1 << i) | (1 << j))
             coords[i][j] = inside

@@ -29,6 +29,7 @@ from .coxring import (
     Derivation,
     LndFamily,
     Poly,
+    _exact,
     compose,
     degree_of,
 )
@@ -188,7 +189,7 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
         return fraction_rank(rows)
 
     if point is not None:
-        pt = [Fraction(c) for c in point]
+        pt = [_exact(c) for c in point]
         if len(pt) != m:
             raise ZeroCoordinate(f"need {m} coordinates, got {len(pt)}")
         if any(c == 0 for c in pt):

@@ -17,6 +17,7 @@ from toric_additive.catalog import example_fan
 from toric_additive.errors import UnsupportedDimension
 from toric_additive.fan import build_fan
 from toric_additive.lattice import det2, pairing
+from toric_additive.roots import octant_root_counts
 
 NO_ACTION_RAYS = [(1, 0), (-1, 3), (0, -1), (-1, -1), (1, -2)]
 
@@ -205,6 +206,13 @@ def test_classify_rays_rejects_higher_rank():
         classify_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
 
 
+def test_non_int_coordinates_refused():
+    with pytest.raises(TypeError, match="1.9"):
+        find_admissible_basis([(1.9, 0), (0, 1), (-1, -1)])
+    with pytest.raises(TypeError, match="'1'"):
+        classify_rays([("1", 0), (0, 1), (-1, -1)])
+
+
 def test_admissible_basis_in_rank_three():
     # the basis search itself is rank agnostic
     basis = find_admissible_basis(
@@ -237,8 +245,7 @@ def test_d_is_basis_independent():
         wides = set()
         ds = set()
         for b in bases:
-            from toric_additive.roots import closed_form_counts
-            n1, n2 = closed_form_counts(b)
+            n1, n2 = octant_root_counts(b.alpha)
             ds.add(max(n1, n2) - 1)
             wides.add(is_wide(fan, b))
         assert len(ds) == 1

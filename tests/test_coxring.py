@@ -119,6 +119,8 @@ def test_parse_rejects_garbage():
         _p("x1 x2")
     with pytest.raises(VariableMismatch):
         _p("y1 + 1")
+    with pytest.raises(VariableMismatch):
+        _p("1/0")
 
 
 def test_derivation_leibniz():
@@ -320,8 +322,19 @@ def test_torus_conjugate_rejects_parameter_motion():
 
 
 def test_poly_const_refuses_float():
+    e = (1, 0, 0, 0, 0, 0, 0)
     with pytest.raises(TypeError, match="0.1"):
         Poly.const(R3, 0.1)
+    with pytest.raises(TypeError, match="0.1"):
+        Poly.monomial(R3, e, 0.1)
+    with pytest.raises(TypeError, match="0.1"):
+        Poly(R3, {e: 0.1})
+    with pytest.raises(TypeError, match="0.5"):
+        Poly.var(R3, 0) * 0.5
+    with pytest.raises(TypeError, match="0.5"):
+        0.5 * Poly.var(R3, 0)
+    assert Poly.var(R3, 0) * Fraction(1, 2) == Poly.monomial(
+        R3, e, Fraction(1, 2))
     assert Poly.const(R3, Fraction(1, 10)).eval([1] * R3.nvars) \
         == Fraction(1, 10)
 
@@ -344,6 +357,8 @@ def test_torus_conjugate_refuses_float():
     dv = lnd_from_root(action_ring(3), example_fan("p2"), (-1, 0), 0)
     with pytest.raises(TypeError, match="0.5"):
         torus_conjugate(dv, (1, 0.5, 1))
+    with pytest.raises(TypeError, match="0.1"):
+        dv.scale(0.1)
 
 
 def test_build_lnd_family_brackets():
@@ -447,6 +462,8 @@ def test_normal_form_rejects():
         normal_form((1, 2), family)
     with pytest.raises(NotApplicable):
         normal_form((1, 2, 0), family)
+    with pytest.raises(TypeError, match="0.5"):
+        normal_form((1, 2, 0.5), family)
 
 
 def test_derivation_str():

@@ -11,7 +11,8 @@ from toric_additive.errors import (
     NotPrimitive,
     TooFewRays,
 )
-from toric_additive.fan import adjacent, build_fan, cross
+from toric_additive.fan import adjacent, build_fan
+from toric_additive.lattice import det2
 
 
 def cone_pairs(fan):
@@ -55,6 +56,11 @@ def test_not_primitive():
         build_fan([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
 
 
+def test_non_int_coordinate_refused():
+    with pytest.raises(TypeError, match="1.5"):
+        build_fan([(1.5, 0), (0, 1), (-1, -1)])
+
+
 def test_duplicate_ray():
     with pytest.raises(DuplicateRay):
         build_fan([(1, 0), (0, 1), (1, 0), (-1, -1)])
@@ -93,7 +99,7 @@ def test_cones_positively_oriented_and_cover():
     m = fan.nrays
     for k in range(m):
         i, j = order[k], order[(k + 1) % m]
-        assert cross(fan.rays[i], fan.rays[j]) > 0
+        assert det2(fan.rays[i], fan.rays[j]) > 0
 
 
 def test_adjacent():
@@ -138,5 +144,5 @@ def test_random_complete_fans_validate():
         order = fan.cyclic_order
         m = fan.nrays
         for k in range(m):
-            assert cross(fan.rays[order[k]], fan.rays[order[(k + 1) % m]]) > 0
+            assert det2(fan.rays[order[k]], fan.rays[order[(k + 1) % m]]) > 0
     assert accepted > 20

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -7,13 +8,12 @@ import pytest
 from toric_additive.errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
 from toric_additive.lattice import (
     det2,
-    dual_basis,
     fraction_rank,
     fraction_solve,
-    is_basis,
+    int_rays,
     is_primitive,
     mat_det,
-    negative_octant_coords,
+    octant_coords,
     pairing,
     primitive,
     solve_pairing_line,
@@ -71,21 +71,21 @@ def test_primitive_idempotent_random():
 
 
 def test_is_basis():
-    assert is_basis((1, 0), (0, 1))
-    assert is_basis((1, 0), (1, 1))
-    assert not is_basis((1, 0), (-1, -2))
+    assert abs(det2((1, 0), (0, 1))) == 1
+    assert abs(det2((1, 0), (1, 1))) == 1
+    assert abs(det2((1, 0), (-1, -2))) != 1
     assert det2((1, 0), (-1, -2)) == -2
 
 
 def test_dual_basis_examples():
-    assert dual_basis((1, 0), (0, 1)).duals == ((1, 0), (0, 1))
-    assert dual_basis((1, 0), (1, 1)).duals == ((1, -1), (0, 1))
-    assert dual_basis((0, 1), (-1, -1)).duals == ((-1, 1), (-1, 0))
+    assert unimodular_duals([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
+    assert unimodular_duals([(1, 0), (1, 1)]) == ((1, -1), (0, 1))
+    assert unimodular_duals([(0, 1), (-1, -1)]) == ((-1, 1), (-1, 0))
 
 
 def test_dual_basis_rejects_non_basis():
     with pytest.raises(NotABasis):
-        dual_basis((1, 0), (-1, -2))
+        unimodular_duals([(1, 0), (-1, -2)])
 
 
 def test_dual_basis_kronecker_random():
@@ -97,17 +97,17 @@ def test_dual_basis_kronecker_random():
         if abs(det2(p, q)) != 1:
             continue
         found += 1
-        db = dual_basis(p, q)
-        for i, orig in enumerate(db.originals):
-            for j, dual in enumerate(db.duals):
+        duals = unimodular_duals([p, q])
+        for i, orig in enumerate((p, q)):
+            for j, dual in enumerate(duals):
                 assert pairing(orig, dual) == (1 if i == j else 0)
 
 
 def test_negative_octant_coords():
-    std = dual_basis((1, 0), (0, 1))
-    assert negative_octant_coords((-1, -1), std) == (1, 1, True)
-    assert negative_octant_coords((-2, -1), std) == (2, 1, True)
-    assert negative_octant_coords((1, 0), std) == (-1, 0, False)
+    std = unimodular_duals([(1, 0), (0, 1)])
+    assert octant_coords((-1, -1), std) == (1, 1)
+    assert octant_coords((-2, -1), std) == (2, 1)
+    assert octant_coords((1, 0), std) == (-1, 0)
 
 
 def test_negative_octant_reconstruction_random():
@@ -117,11 +117,17 @@ def test_negative_octant_reconstruction_random():
         q = (rng.randint(-9, 9), rng.randint(-9, 9))
         if abs(det2(p, q)) != 1:
             continue
-        db = dual_basis(p, q)
+        duals = unimodular_duals([p, q])
         v = (rng.randint(-20, 20), rng.randint(-20, 20))
-        a1, a2, inside = negative_octant_coords(v, db)
+        a1, a2 = octant_coords(v, duals)
         assert vadd(vscale(-a1, p), vscale(-a2, q)) == v
-        assert inside == (a1 >= 0 and a2 >= 0)
+
+
+def test_int_rays_refuses_non_int_coordinates():
+    assert int_rays([[1, 0], (0, 1)]) == ((1, 0), (0, 1))
+    for bad in (1.5, 1.0, "1", True, Fraction(1)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            int_rays([(bad, 0), (0, 1)])
 
 
 def test_xgcd():

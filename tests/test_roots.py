@@ -13,8 +13,8 @@ from toric_additive.fan import build_fan
 from toric_additive.lattice import pairing, vneg
 from toric_additive.roots import (
     all_roots,
-    closed_form_counts,
     enumerate_roots_at,
+    octant_root_counts,
     positive_system,
     roots_by_ray,
     select_regular_vector,
@@ -185,7 +185,7 @@ def test_closed_form_counts_match_enumeration():
     for name in ("p2", "p1xp1", "f1", "p112", "wide", "p113"):
         fan = build_fan(example_fan(name))
         basis = find_admissible_basis(fan.rays, validate=False)
-        n1, n2 = closed_form_counts(basis)
+        n1, n2 = octant_root_counts(basis.alpha)
         assert n1 == len(enumerate_roots_at(fan, basis.basis_indices[0]))
         assert n2 == len(enumerate_roots_at(fan, basis.basis_indices[1]))
 

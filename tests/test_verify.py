@@ -152,6 +152,9 @@ def test_open_orbit_explicit_point():
     with pytest.raises(ZeroCoordinate):
         check_open_orbit(fam.delta, fam.partials[0], fam.grading,
                          point=(1, 0, 1))
+    with pytest.raises(TypeError, match="0.5"):
+        check_open_orbit(fam.delta, fam.partials[0], fam.grading,
+                         point=(1, 0.5, 1))
 
 
 def test_annihilator_profile_p2():
