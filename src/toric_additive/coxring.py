@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -144,17 +145,15 @@ class Poly:
             return out
         self._check_ring(other)
         terms: dict[tuple[int, ...], Fraction] = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                acc = get(e)
+                terms[e] = c1 * c2 if acc is None else acc + c1 * c2
         out = Poly.__new__(Poly)
         out.ring = self.ring
-        out.terms = terms
+        out.terms = {e: c for e, c in terms.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -162,9 +161,13 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise NegativeExponent("polynomial powers must be nonnegative")
-        out = Poly.const(self.ring, 1)
-        for _ in range(n):
-            out = out * self
+        out, base = Poly.const(self.ring, 1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -190,6 +193,11 @@ class Poly:
         """Simultaneous substitution of generators by polynomials."""
         for img in mapping.values():
             self._check_ring(img)
+        # an identity image x_i -> x_i leaves every power of x_i in place
+        mapping = {i: img for i, img in mapping.items()
+                   if len(img.terms) != 1 or not all(
+                       c == 1 and sum(e) == e[i] == 1
+                       for e, c in img.terms.items())}
         result = Poly.zero(self.ring)
         for e, c in self.terms.items():
             rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
@@ -382,7 +390,8 @@ class Derivation:
             raise VariableMismatch("argument outside the derivation's ring")
         out = Poly.zero(self.ring)
         for i, entry in enumerate(self.entries):
-            if not entry.is_zero:
+            # p.diff(i) is zero when no term of p contains x_i
+            if not entry.is_zero and any(e[i] for e in p.terms):
                 out = out + entry * p.diff(i)
         return out
 

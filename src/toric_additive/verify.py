@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .additive import (
@@ -41,7 +40,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import Fan2, adjacent
-from .lattice import fraction_rank, pairing
+from .lattice import fraction_rank, pairing, primitive, vneg
 from .roots import DemazureRoot, roots_by_ray
 
 
@@ -231,15 +230,6 @@ class AnnihilatorReport:
     full_labels: tuple[str, ...]
 
 
-def _primitive_direction(a: int, b: int) -> tuple[int, int]:
-    g = gcd(abs(a), abs(b))
-    if g:
-        a, b = a // g, b // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return (a, b)
-
-
 def _stabilizer(action: ActionMap, f: Poly,
                 m: int) -> tuple[str, tuple[int, int] | None]:
     """Classify {s : f(action_s(x)) = f(x)} as full, a line, or trivial."""
@@ -264,7 +254,8 @@ def _stabilizer(action: ActionMap, f: Poly,
         if a or b:
             # solutions of a*s1 + b*s2 = 0 run along (b, -a)
             den = a.denominator * b.denominator
-            candidates.add(_primitive_direction(int(b * den), int(-a * den)))
+            w, _ = primitive((int(b * den), int(-a * den)))
+            candidates.add(vneg(w) if w < (0, 0) else w)
     verified = []
     for v1, v2 in sorted(candidates):
         ok = True

@@ -4,7 +4,11 @@ from math import comb
 
 import pytest
 
-from toric_additive.additive import classify_rays, find_admissible_basis
+from toric_additive.additive import (
+    classify,
+    classify_rays,
+    find_admissible_basis,
+)
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
@@ -39,6 +43,8 @@ from toric_additive.errors import (
     VariableMismatch,
     ZeroTorusEntry,
 )
+from toric_additive.fan import build_fan
+from toric_additive.verify import verification_report
 
 R3 = action_ring(3)
 
@@ -72,6 +78,69 @@ def test_poly_eval_and_subs():
     assert p.eval(vals) == 12 - 2
     q = p.subs({0: _p("x2 + 1")})
     assert q == _p("(x2 + 1)^2*x2 - 1/2*x3")
+
+
+def _count_products(monkeypatch, cap):
+    """Count Poly products from here on, failing at once past ``cap``."""
+    count = [0]
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        if count[0] > cap:
+            raise AssertionError(f"more than {cap} Poly products")
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    return count
+
+
+def test_poly_pow_matches_repeated_product():
+    q = _p("x1 - 2*x2*s1 + 1/3")
+    expected = Poly.const(R3, 1)
+    for n in range(10):
+        assert q ** n == expected
+        expected = expected * q
+
+
+def test_poly_pow_squares(monkeypatch):
+    x1, s1 = Poly.var(R3, 0), Poly.var(R3, 3)
+    count = _count_products(monkeypatch, 20)
+    p = (x1 + s1) ** 1000
+    assert count[0] <= 20
+    assert len(p.terms) == 1001
+    assert p.terms[(400, 0, 0, 600, 0, 0, 0)] == comb(1000, 400)
+
+
+def test_subs_identity_entry_changes_nothing():
+    p = _p("x1^3*x2 - 2*x2^2*s1 + x3 - 5")
+    image = _p("x1 + s2")
+    for ident in ({0: _p("x1")}, {2: _p("x3")}, {0: _p("x1"), 2: _p("x3")}):
+        assert p.subs({**ident, 1: image}) == p.subs({1: image})
+        assert p.subs(ident) == p
+    # a scaled or shifted generator is not an identity image
+    assert p.subs({2: _p("2*x3")}) == _p("x1^3*x2 - 2*x2^2*s1 + 2*x3 - 5")
+    assert p.subs({2: _p("x3 + x1")}) == \
+        _p("x1^3*x2 - 2*x2^2*s1 + x3 + x1 - 5")
+
+
+def test_subs_skips_identity_powers(monkeypatch):
+    x1, x2, s1 = Poly.var(R3, 0), Poly.var(R3, 1), Poly.var(R3, 3)
+    p = Poly.monomial(R3, (9000, 1, 0, 0, 0, 0, 0))
+    count = _count_products(monkeypatch, 2)
+    q = p.subs({0: x1, 1: x2 + s1})
+    assert count[0] <= 2
+    assert q == p + Poly.monomial(R3, (9000, 0, 0, 1, 0, 0, 0))
+
+
+def test_big_coordinates_verify_in_bounded_products(monkeypatch):
+    # (1,0),(0,1),(-N-3,-N) has exponents of size N in its actions; the
+    # number of products must not grow with N
+    fan = build_fan([(1, 0), (0, 1), (-1000003, -1000000)])
+    count = _count_products(monkeypatch, 200)
+    rep = verification_report(classify(fan))
+    assert rep["all_pass"], rep["checks"]
+    assert count[0] <= 200
 
 
 def test_poly_diff():

@@ -226,6 +226,17 @@ def test_verification_report_catalog(name):
         assert "open_orbit_non_normalized" not in rep["checks"]
 
 
+@pytest.mark.parametrize("rays", [
+    [(1, 0), (0, 1), (-1, -40), (0, -1)],  # Hirzebruch f:40
+    [(1, 0), (0, 1), (-1, -40)],  # weighted plane P(1,1,40)
+])
+def test_verification_report_large_d(rays):
+    rep = verification_report(classify(build_fan(rays)), box=40)
+    assert rep["all_pass"], rep["checks"]
+    assert rep["d"] == 40
+    assert rep["num_classes"] == 2
+
+
 def test_verification_report_non_admitting():
     c = classify(build_fan([(1, 0), (-1, 3), (0, -1), (-1, -1), (1, -2)]))
     rep = verification_report(c)
