@@ -198,15 +198,21 @@ class Poly:
                    if len(img.terms) != 1 or not all(
                        c == 1 and sum(e) == e[i] == 1
                        for e, c in img.terms.items())}
-        result = Poly.zero(self.ring)
+        # every factor's terms go into one dict; zeros are dropped once
+        terms: dict[tuple[int, ...], Fraction] = {}
+        get, zero = terms.get, Fraction(0)
         for e, c in self.terms.items():
             rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
             factor = Poly.monomial(self.ring, rest, c)
             for i, img in mapping.items():
                 if e[i]:
                     factor = factor * img ** e[i]
-            result = result + factor
-        return result
+            for f, k in factor.terms.items():
+                terms[f] = get(f, zero) + k
+        out = Poly.__new__(Poly)
+        out.ring = self.ring
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     def eval(self, values: Sequence) -> Fraction:
         if len(values) != self.ring.nvars:

@@ -41,10 +41,6 @@ def vneg(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-a for a in u)
 
 
-def vscale(c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c * a for a in u)
-
-
 def primitive(v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Return (v / g, g) where g > 0 is the gcd of the coordinates.
 

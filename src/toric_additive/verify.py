@@ -1,11 +1,12 @@
 """Independent verification oracles.
 
 Each check here recomputes a result by a route different from the one the
-main modules take: roots by brute-force box scan instead of interval
-arithmetic, the group law by actual composition of polynomial maps, open
-orbits by exact rank computations at rational points, and the two
-isomorphism classes by an invariant (annihilator lines of degree-component
-elements) that does not look at how the actions were produced.
+main modules take: roots by scanning each ray's line <p_i, e> = -1 point
+by point across a box instead of by interval arithmetic, the group law by
+actual composition of polynomial maps, open orbits by exact rank
+computations at rational points, and the two isomorphism classes by an
+invariant (annihilator lines of degree-component elements) that does not
+look at how the actions were produced.
 """
 
 from __future__ import annotations
@@ -45,20 +46,35 @@ from .roots import DemazureRoot, roots_by_ray
 
 
 def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
-    """All roots with both coordinates in [-box, box], by direct scan."""
+    """All roots with both coordinates in [-box, box], by direct line scan.
+
+    A root e of ray i = (a, b) lies on the line a*ex + b*ey = -1, so only
+    that line's points in the box are visited: for b != 0 each column ex
+    gives at most one ey, by exact division; for b = 0 (so a = +-1) the line
+    is the column ex = -a.  Each point is then tested against every other
+    ray directly: its pairing must be >= 0, and a pairing of 0 needs the two
+    rays to span a cone.
+    """
     found = set()
-    for ex in range(-box, box + 1):
-        for ey in range(-box, box + 1):
-            e = (ex, ey)
-            vals = [pairing(p, e) for p in fan.rays]
-            for i, v in enumerate(vals):
-                if v != -1:
-                    continue
-                if any(w < 0 for j, w in enumerate(vals) if j != i):
-                    continue
-                if any(w == 0 and not adjacent(fan, i, j)
-                       for j, w in enumerate(vals) if j != i):
-                    continue
+    span = range(-box, box + 1)
+    for i, (a, b) in enumerate(fan.rays):
+        if b:
+            line = []
+            for ex in span:
+                ey, r = divmod(-1 - a * ex, b)
+                if not r and -box <= ey <= box:
+                    line.append((ex, ey))
+        elif -box <= -a <= box:
+            line = [(-a, ey) for ey in span]
+        else:
+            continue
+        others = [(j, p) for j, p in enumerate(fan.rays) if j != i]
+        for e in line:
+            for j, p in others:
+                w = pairing(p, e)
+                if w < 0 or (w == 0 and not adjacent(fan, i, j)):
+                    break
+            else:
                 found.add(DemazureRoot(e=e, ray=i))
     return frozenset(found)
 

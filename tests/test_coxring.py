@@ -133,6 +133,20 @@ def test_subs_skips_identity_powers(monkeypatch):
     assert q == p + Poly.monomial(R3, (9000, 0, 0, 1, 0, 0, 0))
 
 
+def test_subs_gathers_terms_without_poly_sums(monkeypatch):
+    # a sum per term would copy the accumulated dict each time: O(T^2)
+    p = Poly(R3, {(k % 20, k // 20, 0, 1, 0, 0, 0): k + 1
+                  for k in range(4000)})
+    image = _p("2*x3")
+
+    def no_sums(self, other):
+        raise AssertionError("Poly.subs called Poly.__add__")
+
+    monkeypatch.setattr(Poly, "__add__", no_sums)
+    assert len(p.terms) == 4000
+    assert p.subs({2: image}) == p
+
+
 def test_big_coordinates_verify_in_bounded_products(monkeypatch):
     # (1,0),(0,1),(-N-3,-N) has exponents of size N in its actions; the
     # number of products must not grow with N

@@ -20,7 +20,6 @@ from toric_additive.lattice import (
     unimodular_duals,
     vadd,
     vneg,
-    vscale,
     vsub,
     xgcd,
 )
@@ -42,7 +41,7 @@ def test_vector_helpers():
     assert vadd((1, 2), (3, -5)) == (4, -3)
     assert vsub((1, 2), (3, -5)) == (-2, 7)
     assert vneg((4, -1)) == (-4, 1)
-    assert vscale(3, (2, -1)) == (6, -3)
+    assert tuple(3 * a for a in (2, -1)) == (6, -3)
 
 
 def test_primitive_examples():
@@ -63,7 +62,7 @@ def test_primitive_idempotent_random():
         if v == (0, 0):
             continue
         w, g = primitive(v)
-        assert vscale(g, w) == v
+        assert tuple(g * a for a in w) == v
         assert g == gcd(abs(v[0]), abs(v[1]))
         again, g2 = primitive(w)
         assert again == w and g2 == 1
@@ -120,7 +119,7 @@ def test_negative_octant_reconstruction_random():
         duals = unimodular_duals([p, q])
         v = (rng.randint(-20, 20), rng.randint(-20, 20))
         a1, a2 = octant_coords(v, duals)
-        assert vadd(vscale(-a1, p), vscale(-a2, q)) == v
+        assert (-a1 * p[0] - a2 * q[0], -a1 * p[1] - a2 * q[1]) == v
 
 
 def test_int_rays_refuses_non_int_coordinates():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toric_additive import verify
 from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
@@ -15,8 +16,10 @@ from toric_additive.coxring import (
     torus_conjugate,
 )
 from toric_additive.errors import Inconclusive, NotApplicable, ZeroCoordinate
-from toric_additive.fan import build_fan
-from toric_additive.roots import enumerate_roots_at
+from toric_additive.fan import adjacent, build_fan
+from toric_additive.lattice import pairing
+from toric_additive.roots import DemazureRoot, enumerate_roots_at
+from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 from toric_additive.verify import (
     ActionClass,
     AnnihilatorReport,
@@ -48,6 +51,51 @@ def test_brute_force_roots_p2():
         (1, (0, -1)), (1, (1, -1)),
         (2, (1, 0)), (2, (0, 1)),
     }
+
+
+def _square_scan_roots(fan, box):
+    """Reference: test every point of the square against every ray."""
+    found = set()
+    for ex in range(-box, box + 1):
+        for ey in range(-box, box + 1):
+            vals = [pairing(p, (ex, ey)) for p in fan.rays]
+            for i, v in enumerate(vals):
+                others = [(j, w) for j, w in enumerate(vals) if j != i]
+                if v == -1 and all(w > 0 or (w == 0 and adjacent(fan, i, j))
+                                   for j, w in others):
+                    found.add(DemazureRoot(e=(ex, ey), ray=i))
+    return frozenset(found)
+
+
+def test_line_scan_matches_square_scan():
+    fans = list(enumerate_complete_fans(primitive_pool(2)))
+    for rays in fans[::40]:
+        fan = build_fan(rays)
+        for box in (0, 1, 2, 3, 10):
+            assert brute_force_roots(fan, box) == \
+                _square_scan_roots(fan, box), (rays, box)
+    for a in range(1, 13):
+        for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
+            fan = build_fan(rays)
+            assert brute_force_roots(fan, a) == \
+                _square_scan_roots(fan, a), (rays, a)
+
+
+def test_line_scan_cost_is_linear_in_box(monkeypatch):
+    # the square scan would make about 12M pairings here
+    cap, count = 20_000, [0]
+
+    def counted(p, e):
+        count[0] += 1
+        if count[0] > cap:
+            raise AssertionError(f"more than {cap} pairings")
+        return pairing(p, e)
+
+    monkeypatch.setattr(verify, "pairing", counted)
+    fan = build_fan(example_fan("p2"))
+    got = brute_force_roots(fan, 1000)
+    assert len(got) == 6
+    assert got == {r for i in range(3) for r in enumerate_roots_at(fan, i)}
 
 
 @pytest.mark.parametrize("name", CATALOG)
