@@ -2,14 +2,14 @@
 
 Vectors are plain tuples of Python ints.  ``LatticeVec`` lives in N (the
 lattice of one-parameter subgroups), ``CharVec`` in the dual M (characters);
-the two are linked only through :func:`pairing`.  No floating point is used
-anywhere.
+the two are linked only through :func:`pairing`.  All elimination is the
+fraction-free :func:`_bareiss`.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
@@ -123,6 +123,48 @@ def solve_pairing_line(p: LatticeVec, c: int) -> tuple[CharVec, CharVec]:
     return e0, q
 
 
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns of a, in place.
+
+    Bareiss's integer-preserving update: every entry stays an integer minor
+    of the input, so every division is exact.  Returns the pivot columns and
+    the sign of the row swaps.  Pivot row k ends with the last pivot D in
+    column pivots[k] and 0 in the other pivot columns; for a square matrix
+    of full rank, sign * D is its determinant.
+    """
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(a):
+            break
+        if a[k][col] == 0:
+            for i in range(k + 1, len(a)):
+                if a[i][col] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                continue
+        prow = a[k]
+        p = prow[col]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[col]
+                for j in range(len(row)):
+                    row[j] = (row[j] * p - f * prow[j]) // prev
+        prev = p
+        pivots.append(col)
+    return pivots, sign
+
+
+def integer_row(row) -> list[int]:
+    """An int or Fraction row times the positive lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def mat_det(rows: list[LatticeVec]) -> int:
     """Integer determinant via fraction-free Bareiss elimination."""
     n = len(rows)
@@ -131,23 +173,8 @@ def mat_det(rows: list[LatticeVec]) -> int:
     if n == 0:
         return 1
     a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _bareiss(a, n)
+    return sign * a[0][0] if len(pivots) == n else 0
 
 
 def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, ...]:
@@ -156,60 +183,32 @@ def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, ...]:
     Entry j of the result pairs to 1 with rows[j] and to 0 with the others.
     """
     n = len(rows)
-    d = mat_det(rows)
+    if any(len(r) != n for r in rows):
+        raise LengthMismatch("determinant of a non-square matrix")
+    if n == 0:
+        return ()
+    # Eliminating [rows | I] leaves [D*I | D*rows^-1]; dual j is column j
+    # of rows^-1, and dividing by D = +-1 is multiplying by it.
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, sign = _bareiss(a, n)
+    d = a[0][0] if len(pivots) == n else 0
     if abs(d) != 1:
-        raise NotABasis(f"determinant {d} is not a unit")
-    # Dual j is row j of the cofactor matrix divided by the determinant
-    # (Laplace expansion along row j); dividing by +-1 is multiplying.
-    return tuple(
-        tuple(d * (-1) ** (i + j)
-              * mat_det([r[:i] + r[i + 1:] for k, r in enumerate(rows)
-                         if k != j])
-              for i in range(n))
-        for j in range(n))
-
-
-def _row_reduce(a: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan on the first ncols columns of a, in place.
-
-    Returns the pivot columns; pivot row k holds a 1 in column pivots[k]
-    and every other row a 0 there.
-    """
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(a):
-            break
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-    return pivots
-
-
-def fraction_rank(rows: list[list]) -> int:
-    """Exact rank of a rational matrix by Gaussian elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    return len(_row_reduce(a, len(a[0]) if a else 0))
+        raise NotABasis(f"determinant {sign * d} is not a unit")
+    return tuple(tuple(d * a[i][n + j] for i in range(n)) for j in range(n))
 
 
 def fraction_solve(rows: list[list], rhs: list) -> list | None:
     """Unique exact solution of rows * x = rhs, or None.
 
     Returns None when the system is inconsistent or the solution is not
-    unique; the system may be overdetermined.
+    unique; the system may be overdetermined.  Entries are ints or
+    Fractions; each equation is cleared of denominators and [rows | rhs]
+    is eliminated once, so the only divisions are the last, one per unknown.
     """
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    a = [integer_row([*r, b]) for r, b in zip(rows, rhs)]
     nunk = len(rows[0]) if rows else 0
-    if len(_row_reduce(a, nunk)) != nunk:
+    if len(_bareiss(a, nunk)[0]) != nunk:
         return None
     if any(a[i][nunk] != 0 for i in range(nunk, len(a))):
         return None
-    return [a[i][nunk] for i in range(nunk)]
+    return [Fraction(a[i][nunk], a[i][i]) for i in range(nunk)]

@@ -3,8 +3,8 @@
 Each check here recomputes a result by a route different from the one the
 main modules take: roots by scanning each ray's line <p_i, e> = -1 point
 by point across a box instead of by interval arithmetic, the group law by
-actual composition of polynomial maps, open orbits by exact rank
-computations at rational points, and the two isomorphism classes by an
+actual composition of polynomial maps, open orbits by a nonzero m x m
+determinant at rational points, and the two isomorphism classes by an
 invariant (annihilator lines of degree-component elements) that does not
 look at how the actions were produced.
 """
@@ -41,7 +41,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import Fan2, adjacent
-from .lattice import fraction_rank, pairing, primitive, vneg
+from .lattice import integer_row, mat_det, pairing, primitive, vneg
 from .roots import DemazureRoot, roots_by_ray
 
 
@@ -186,22 +186,22 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
     """Exact full-rank test for the orbit through a rational point.
 
     The rows are the two vector fields evaluated at the point followed by
-    the quasitorus directions read off the grading; rank m means the orbit
-    of the combined group is dense, which is what the action construction
-    promises.  A rank drop at one point can be bad luck, so without an
-    explicit point five seeded points are tried.
+    the m - 2 quasitorus directions read off the grading; a nonzero m x m
+    determinant means the orbit of the combined group is dense, which is
+    what the action construction promises.  A rank drop at one point can be
+    bad luck, so without an explicit point five seeded points are tried.
     """
     m = len(grading.degrees)
     ring = d1.ring
 
-    def rank_at(pt: list[Fraction]) -> int:
+    def full_rank_at(pt: list[Fraction]) -> bool:
         vals = [Fraction(0)] * ring.nvars
         for i, c in enumerate(pt):
             vals[i] = c
         rows = [[d.entries[i].eval(vals) for i in range(m)] for d in (d1, d2)]
         for k in range(m - 2):
             rows.append([grading.degrees[i][k] * pt[i] for i in range(m)])
-        return fraction_rank(rows)
+        return mat_det([integer_row(r) for r in rows]) != 0
 
     if point is not None:
         pt = [_exact(c) for c in point]
@@ -210,11 +210,11 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
         if any(c == 0 for c in pt):
             raise ZeroCoordinate(
                 "orbit test points must avoid the coordinate hyperplanes")
-        return rank_at(pt) == m
+        return full_rank_at(pt)
     rng = random.Random(seed)
     for _ in range(5):
         pt = [Fraction(rng.randint(1, 9)) for _ in range(m)]
-        if rank_at(pt) == m:
+        if full_rank_at(pt):
             return True
     return False
 
@@ -269,8 +269,7 @@ def _stabilizer(action: ActionMap, f: Poly,
         b = h.get((0, 1), Fraction(0))
         if a or b:
             # solutions of a*s1 + b*s2 = 0 run along (b, -a)
-            den = a.denominator * b.denominator
-            w, _ = primitive((int(b * den), int(-a * den)))
+            w, _ = primitive(integer_row((b, -a)))
             candidates.add(vneg(w) if w < (0, 0) else w)
     verified = []
     for v1, v2 in sorted(candidates):

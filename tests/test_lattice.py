@@ -8,9 +8,9 @@ import pytest
 from toric_additive.errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
 from toric_additive.lattice import (
     det2,
-    fraction_rank,
     fraction_solve,
     int_rays,
+    integer_row,
     is_primitive,
     mat_det,
     octant_coords,
@@ -80,11 +80,16 @@ def test_dual_basis_examples():
     assert unimodular_duals([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
     assert unimodular_duals([(1, 0), (1, 1)]) == ((1, -1), (0, 1))
     assert unimodular_duals([(0, 1), (-1, -1)]) == ((-1, 1), (-1, 0))
+    assert unimodular_duals([]) == ()
 
 
 def test_dual_basis_rejects_non_basis():
-    with pytest.raises(NotABasis):
+    with pytest.raises(NotABasis, match="determinant -2 is not a unit"):
         unimodular_duals([(1, 0), (-1, -2)])
+    with pytest.raises(NotABasis, match="determinant 0 is not a unit"):
+        unimodular_duals([(1, 2), (2, 4)])
+    with pytest.raises(LengthMismatch):
+        unimodular_duals([(1, 0, 0), (0, 1, 0)])
 
 
 def test_dual_basis_kronecker_random():
@@ -184,6 +189,19 @@ def test_mat_det():
     assert mat_det([]) == 1
 
 
+def _unimodular(rng, n):
+    """The identity under random row operations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 8)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            m[a] = [-x for x in m[a]]
+        else:
+            k = rng.randint(-3, 3)
+            m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+    return m
+
+
 def test_unimodular_duals_rank3():
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert unimodular_duals(rows) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -192,19 +210,11 @@ def test_unimodular_duals_rank3():
     for i, r in enumerate(rows):
         for j, d in enumerate(duals):
             assert pairing(r, d) == (1 if i == j else 0)
-    # random unimodular matrices: the identity under random row operations
+    # random unimodular matrices
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(1, 4)
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(rng.randint(0, 8)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a == b:
-                m[a] = [-x for x in m[a]]
-            else:
-                k = rng.randint(-3, 3)
-                m[a] = [x + k * y for x, y in zip(m[a], m[b])]
-        rows = [tuple(r) for r in m]
+        rows = [tuple(r) for r in _unimodular(rng, rng.randint(1, 4))]
+        n = len(rows)
         duals = unimodular_duals(rows)
         assert len(duals) == n
         for i, r in enumerate(rows):
@@ -214,12 +224,18 @@ def test_unimodular_duals_rank3():
         unimodular_duals([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
 
 
-def test_fraction_rank():
-    assert fraction_rank([[1, 0], [0, 1]]) == 2
-    assert fraction_rank([[1, 2], [2, 4]]) == 1
-    assert fraction_rank([[0, 0], [0, 0]]) == 0
-    assert fraction_rank([[Fraction(1, 2), 1], [1, 2], [3, 7]]) == 2
-    assert fraction_rank([[0, 1, 2], [0, 2, 5]]) == 2
+def test_full_rank_is_nonzero_det():
+    # a square rational matrix has full rank iff its rows, each cleared of
+    # denominators, have a nonzero integer determinant
+    assert mat_det([[1, 0], [0, 1]]) != 0
+    assert mat_det([[1, 2], [2, 4]]) == 0
+    assert mat_det([[0, 0], [0, 0]]) == 0
+    assert integer_row([Fraction(1, 2), 1, Fraction(-2, 3), 0]) == \
+        [3, 6, -4, 0]
+    assert integer_row([]) == []
+    half = Fraction(1, 2)
+    assert mat_det([integer_row(r) for r in [[half, 1], [3, 7]]]) != 0
+    assert mat_det([integer_row(r) for r in [[half, 1], [1, 2]]]) == 0
 
 
 def test_fraction_solve():
@@ -232,3 +248,37 @@ def test_fraction_solve():
     assert fraction_solve([[1, 1], [1, 1]], [1, 2]) is None
     # underdetermined (no unique solution)
     assert fraction_solve([[1, 1]], [1]) is None
+
+
+def test_elimination_properties_random():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
+        assert mat_det(ab) == mat_det(a) * mat_det(b)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def times(rows, x):
+        return [sum(c * v for c, v in zip(r, x)) for r in rows]
+
+    for _ in range(300):
+        n, extra = rng.randint(1, 4), rng.randint(0, 3)
+        # full column rank by construction: a unimodular block on top
+        rows = _unimodular(rng, n) + [[rat() for _ in range(n)]
+                                      for _ in range(extra)]
+        x = [rat() for _ in range(n)]
+        assert fraction_solve(rows, times(rows, x)) == x
+        if n >= 2:
+            # column j repeats column 0: consistent, but not unique
+            j = rng.randrange(1, n)
+            dup = [r[:j] + [r[0]] + r[j + 1:] for r in rows]
+            assert fraction_solve(dup, times(dup, x)) is None
+        if extra:
+            bad = times(rows, x)
+            bad[n + rng.randrange(extra)] += 1
+            assert fraction_solve(rows, bad) is None

@@ -205,6 +205,19 @@ def test_open_orbit_explicit_point():
                          point=(1, 0.5, 1))
 
 
+@pytest.mark.parametrize("name, point", (
+    ("p2", (1, Fraction(1, 2), Fraction(3, 7))),
+    ("f1", (Fraction(2, 3), Fraction(-5, 4), 3, Fraction(7, 2))),
+))
+def test_open_orbit_rational_point(name, point):
+    # each row of the orbit matrix is cleared of its own denominators
+    fam = classify(build_fan(example_fan(name))).family
+    assert check_open_orbit(fam.delta, fam.partials[0], fam.grading,
+                            point=point)
+    assert not check_open_orbit(fam.partials[0], fam.partials[1],
+                                fam.grading, point=point)
+
+
 def test_annihilator_profile_p2():
     c = _p2_actions()
     rep = annihilator_profile(c.normalized_action, c.family)
