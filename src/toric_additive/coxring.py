@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import (
     InternalInconsistency,
+    LengthMismatch,
     NegativeExponent,
     NotApplicable,
     NotCommuting,
@@ -628,6 +629,9 @@ class TorusChar:
     exponents: tuple[int, ...]
 
     def value_at(self, t: Sequence) -> Fraction:
+        if len(t) != len(self.exponents):
+            raise LengthMismatch(f"torus point of length {len(t)} for a "
+                                 f"character of length {len(self.exponents)}")
         vals = [_exact(v) for v in t]
         if any(v == 0 for v in vals):
             raise ZeroTorusEntry("torus points have nonzero coordinates")

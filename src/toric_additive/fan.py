@@ -49,8 +49,8 @@ class Fan2:
     cyclic_order: tuple[int, ...]
     maximal_cones: tuple[tuple[int, int], ...]
     _adjacency: frozenset[frozenset[int]] = field(repr=False)
-    _roots_by_ray: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
+    _roots_by_ray: tuple | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def nrays(self) -> int:

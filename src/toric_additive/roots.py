@@ -2,14 +2,19 @@
 
 A character e is a root attached to ray i when <p_i, e> = -1 and
 <p_j, e> >= 0 for every other ray j, and additionally every ray j with
-<p_j, e> = 0 spans a maximal cone together with ray i.  On complete 2D fans
-the extra cone condition is implied by the inequalities; the enumeration
-keeps the filter active and the verification layer confirms the redundancy
-empirically.
+<p_j, e> = 0 spans a maximal cone together with ray i.
 
-Enumeration is exact: the affine line <p_i, e> = -1 is parametrised over Z
-and each remaining ray contributes one half-line constraint, so the root set
-is an integer interval that is read off without any search.
+On a complete fan the two neighbours of p_i decide all of this.  Let prev
+and nxt be the rays just before and after p_i counterclockwise, and let e
+pair to -1 with p_i and to >= 0 with prev and nxt.  The directions v with
+<v, e> >= 0 form a closed half turn H that misses p_i.  A walk once round
+counterclockwise from p_i meets nxt first and prev last, and passes H in
+one stretch whose two ends alone pair to 0 with e.  Every ray met between
+nxt and prev lies strictly inside that stretch and pairs positively with
+e, so the other inequalities and the cone condition are implied.  By
+completeness, det(prev, p_i) > 0 and det(p_i, nxt) > 0: the neighbours
+bound the parametrised line <p_i, e> = -1 from opposite sides, so the root
+set is an integer interval read off without any search.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInconsistency, NotRegular
-from .fan import Fan2, adjacent
+from .fan import Fan2
 from .lattice import (
     CharVec,
     LatticeVec,
@@ -54,66 +59,41 @@ class RootSystem:
         return tuple(r.e for r in self.per_ray[i])
 
 
-def root_interval(rays: Sequence[LatticeVec], i: int
+def root_interval(prev: LatticeVec, p: LatticeVec, nxt: LatticeVec
                   ) -> tuple[CharVec, CharVec, int, int]:
-    """Integer interval of the line <p_i, e> = -1 cut out by <p_j, e> >= 0.
+    """(e0, q, lo, hi): the roots of p are e0 + k*q for lo <= k <= hi.
 
-    Returns (e0, q, lo, hi): the characters e0 + k*q with lo <= k <= hi are
-    exactly those pairing to -1 with ray i and nonnegatively with every
-    other ray.  The interval is empty (lo > hi) when there are none.
+    prev and nxt are p's counterclockwise neighbours (lo > hi: no roots).
     """
-    e0, q = solve_pairing_line(rays[i], -1)
-    lo: int | None = None
-    hi: int | None = None
-    for j, pj in enumerate(rays):
-        if j == i:
-            continue
-        a = pairing(pj, q)
-        b = pairing(pj, e0)
-        if a == 0:
-            if b < 0:
-                return e0, q, 1, 0
-        elif a > 0:
-            k = -(b // a)  # ceil(-b / a)
-            if lo is None or k > lo:
-                lo = k
-        else:
-            k = b // (-a)  # floor(b / -a)
-            if hi is None or k < hi:
-                hi = k
-    if lo is None or hi is None:
-        # Completeness forces constraints of both signs along the line.
+    e0, q = solve_pairing_line(p, -1)
+    # each neighbour v needs <v, e0 + k*q> = a*k + b >= 0
+    a, b = pairing(nxt, q), pairing(nxt, e0)
+    c, d = pairing(prev, q), pairing(prev, e0)
+    if a < 0:
+        a, b, c, d = c, d, a, b
+    if not a > 0 > c:
         raise InternalInconsistency(
-            f"parameter line of ray {i + 1} is unbounded; fan not complete?")
-    return e0, q, lo, hi
+            f"neighbours of ray {p} lie on one side of it; fan not complete?")
+    return e0, q, -(b // a), d // -c
 
 
-def enumerate_roots_at(fan: Fan2, i: int, *, cone_condition: bool = True
-                       ) -> tuple[DemazureRoot, ...]:
+def enumerate_roots_at(fan: Fan2, i: int) -> tuple[DemazureRoot, ...]:
     """Roots attached to ray i, sorted lexicographically by character."""
-    e0, q, lo, hi = root_interval(fan.rays, i)
-    found = []
-    for k in range(lo, hi + 1):
-        e = (e0[0] + k * q[0], e0[1] + k * q[1])
-        if cone_condition:
-            ok = True
-            for j, pj in enumerate(fan.rays):
-                if j != i and pairing(pj, e) == 0 and not adjacent(fan, i, j):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        found.append(DemazureRoot(e=e, ray=i))
-    return tuple(sorted(found))
+    order = fan.cyclic_order
+    pos = order.index(i)
+    prev, nxt = order[pos - 1], order[(pos + 1) % len(order)]
+    e0, q, lo, hi = root_interval(fan.rays[prev], fan.rays[i], fan.rays[nxt])
+    # q leads with a positive coordinate, so ascending k is ascending e
+    return tuple(DemazureRoot(e=(e0[0] + k * q[0], e0[1] + k * q[1]), ray=i)
+                 for k in range(lo, hi + 1))
 
 
-def roots_by_ray(fan: Fan2, *, cone_condition: bool = True
-                 ) -> tuple[tuple[DemazureRoot, ...], ...]:
-    if cone_condition not in fan._roots_by_ray:
-        fan._roots_by_ray[cone_condition] = tuple(
-            enumerate_roots_at(fan, i, cone_condition=cone_condition)
-            for i in range(fan.nrays))
-    return fan._roots_by_ray[cone_condition]
+def roots_by_ray(fan: Fan2) -> tuple[tuple[DemazureRoot, ...], ...]:
+    """Roots of every ray, enumerated on first use and kept on the fan."""
+    if fan._roots_by_ray is None:
+        object.__setattr__(fan, "_roots_by_ray", tuple(
+            enumerate_roots_at(fan, i) for i in range(fan.nrays)))
+    return fan._roots_by_ray
 
 
 def split_semisimple(per_ray: Sequence[Sequence[DemazureRoot]]
@@ -156,7 +136,8 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
 
     The search tries u0 = -(p1 + p2) first and then scans Q*u0 + delta for
     Q = 1, 2, ... with delta on a deterministic square spiral, accepting the
-    first candidate that satisfies all constraints.
+    first candidate that satisfies all constraints; past the scan's bound,
+    u = -(p1 + b*p2) with the least b >= 2 that makes every <u, e> nonzero.
     """
     i1, i2 = basis.basis_indices
     p1, p2 = fan.rays[i1], fan.rays[i2]
@@ -181,9 +162,11 @@ def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
             if sign_constrained and pairing(u, eplus) <= 0:
                 continue
             return u
-    raise InternalInconsistency(
-        "no regular vector found; the search bound should never be reached "
-        "on a fan with an admissible basis")
+    # u = -(p1 + b*p2) pairs to -1 with d1, -b with d2 and b - 1 with
+    # d1 - d2; each semisimple root vanishes on it for at most one b.
+    b = next(b for b in range(2, len(semi) + 3)
+             if all(pairing(p1, e) + b * pairing(p2, e) for e in semi))
+    return (-p1[0] - b * p2[0], -p1[1] - b * p2[1])
 
 
 def positive_system(semisimple: Iterable[CharVec], u: LatticeVec,

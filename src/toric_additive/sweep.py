@@ -216,9 +216,11 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
             report.record_violation(
                 "d_depends_on_basis", {"rays": rays, "degrees": degrees})
         (i, j, _), (n1, n2) = pairs[0], counts[0]
-        _, _, lo1, hi1 = root_interval(rays, chain.index(i))
-        _, _, lo2, hi2 = root_interval(rays, chain.index(j))
-        got = (max(hi1 - lo1 + 1, 0), max(hi2 - lo2 + 1, 0))
+        # chains run counterclockwise, so a ray's neighbours sit beside it
+        m = len(rays)
+        intervals = [root_interval(rays[k - 1], rays[k], rays[(k + 1) % m])
+                     for k in (chain.index(i), chain.index(j))]
+        got = tuple(max(hi - lo + 1, 0) for _, _, lo, hi in intervals)
         if got != (n1, n2):
             report.record_violation(
                 "root_count_mismatch",

@@ -2,11 +2,12 @@
 
 Each check here recomputes a result by a route different from the one the
 main modules take: roots by scanning each ray's line <p_i, e> = -1 point
-by point across a box instead of by interval arithmetic, the group law by
-actual composition of polynomial maps, open orbits by a nonzero m x m
-determinant at rational points, and the two isomorphism classes by an
-invariant (annihilator lines of degree-component elements) that does not
-look at how the actions were produced.
+by point across a box instead of by interval arithmetic, and by testing
+each root against every ray where the enumeration reads only two
+neighbours; the group law by actual composition of polynomial maps, open
+orbits by a nonzero m x m determinant at rational points, and the two
+isomorphism classes by an invariant (annihilator lines of degree-component
+elements) that does not look at how the actions were produced.
 """
 
 from __future__ import annotations
@@ -92,10 +93,18 @@ def check_roots_box_oracle(fan: Fan2, box: int = 10) -> bool:
 
 
 def check_cone_condition_redundant(fan: Fan2) -> bool:
-    """On complete rank 2 fans the adjacency condition filters nothing."""
-    with_it = roots_by_ray(fan, cone_condition=True)
-    without = roots_by_ray(fan, cone_condition=False)
-    return with_it == without
+    """Each root e of ray i meets the full definition, cone condition too.
+
+    <p_i, e> = -1, and every other ray pairs >= 0 with e, and 0 only when
+    it spans a cone with p_i; the enumeration reads only p_i's neighbours.
+    """
+    for i, roots in enumerate(roots_by_ray(fan)):
+        for r in roots:
+            w = [pairing(p, r.e) for p in fan.rays]
+            if w[i] != -1 or any(x < 0 or (x == 0 and not adjacent(fan, i, j))
+                                 for j, x in enumerate(w) if j != i):
+                return False
+    return True
 
 
 def check_collections_bases_bijection(fan: Fan2) -> bool:

@@ -35,6 +35,7 @@ from toric_additive.coxring import (
     zero_derivation,
 )
 from toric_additive.errors import (
+    LengthMismatch,
     NegativeExponent,
     NotApplicable,
     NotCommuting,
@@ -434,6 +435,18 @@ def test_torus_char_value_at_refuses_float():
         TorusChar((1, 0, 0)).value_at([0.1, 1, 1])
     assert TorusChar((1, 0, 0)).value_at([Fraction(1, 10), 1, 1]) \
         == Fraction(1, 10)
+
+
+def test_torus_char_value_at_checks_length():
+    # f1's partials[1] scales by the character with exponents (1, -1, 0, 1)
+    c = classify(build_fan(example_fan("f1")))
+    char = character_of(c.family.partials[1], c.fan.rays)
+    assert char.exponents == (1, -1, 0, 1)
+    assert char.value_at((2, 3, 5, 7)) == Fraction(14, 3)
+    with pytest.raises(LengthMismatch):
+        char.value_at((2,))
+    with pytest.raises(LengthMismatch):
+        char.value_at((2, 3, 5, 7, 11, 13))
 
 
 def test_torus_conjugate_refuses_float():

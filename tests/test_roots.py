@@ -9,9 +9,10 @@ from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.cli import main
 from toric_additive.errors import NotRegular
-from toric_additive.fan import build_fan
-from toric_additive.lattice import pairing, vneg
+from toric_additive.fan import adjacent, build_fan
+from toric_additive.lattice import pairing, solve_pairing_line, vneg, xgcd
 from toric_additive.roots import (
+    DemazureRoot,
     all_roots,
     enumerate_roots_at,
     octant_root_counts,
@@ -20,7 +21,10 @@ from toric_additive.roots import (
     select_regular_vector,
     split_semisimple,
 )
-from toric_additive.verify import verification_report
+from toric_additive.verify import (
+    check_cone_condition_redundant,
+    verification_report,
+)
 
 # per-ray root sets and the positive system of the four classical surfaces
 GOLDEN = {
@@ -157,6 +161,23 @@ def test_sign_convention_on_opposite_pair():
     assert len(pos1) == 1
 
 
+def test_regular_vector_fallback_on_large_duals():
+    # P^2 under a unimodular map with entries near 10^5: its duals are so
+    # long that no candidate of the spiral scan pairs negatively with both,
+    # so u = -(p1 + b*p2) is taken, here with b = 2
+    fan = build_fan([(-114903, 3217), (-16180, 453), (131083, -3670)])
+    basis = find_admissible_basis(fan.rays, validate=False)
+    rs = all_roots(fan, basis)
+    p1, p2 = (fan.rays[i] for i in basis.basis_indices)
+    assert rs.regular_vector == (-p1[0] - 2 * p2[0], -p1[1] - 2 * p2[1])
+    d1, d2 = basis.duals
+    assert pairing(rs.regular_vector, d1) < 0
+    assert pairing(rs.regular_vector, d2) < 0
+    assert pairing(rs.regular_vector, (d1[0] - d2[0], d1[1] - d2[1])) > 0
+    assert len(rs.semisimple) == 6 and len(rs.positive) == 3
+    assert verification_report(classify(fan), box=131083)["all_pass"]
+
+
 def test_positive_system_definition():
     fan = build_fan(example_fan("f1"))
     basis = find_admissible_basis(fan.rays, validate=False)
@@ -240,13 +261,72 @@ def _random_fans(seed, count, bound=4, max_rays=7):
 
 
 def test_cone_condition_is_redundant():
-    # on a complete fan the pairing inequalities already force the root's
-    # ray to sit in a cone adjacent to the distinguished one
+    # the enumeration reads only each ray's two neighbours; every root it
+    # returns meets the full definition, cone condition included
     for fan in _random_fans(11, 60):
         for i in range(fan.nrays):
-            with_filter = enumerate_roots_at(fan, i)
-            without = enumerate_roots_at(fan, i, cone_condition=False)
-            assert with_filter == without
+            for r in enumerate_roots_at(fan, i):
+                assert pairing(fan.rays[i], r.e) == -1
+                for j, p in enumerate(fan.rays):
+                    if j != i:
+                        w = pairing(p, r.e)
+                        assert w > 0 or (w == 0 and adjacent(fan, i, j))
+
+
+def _roots_all_rays(fan, i):
+    # reference: bound the line <p_i, e> = -1 against every other ray, then
+    # keep the points whose zero pairings are all with adjacent rays
+    e0, q = solve_pairing_line(fan.rays[i], -1)
+    lo = hi = None
+    for j, p in enumerate(fan.rays):
+        if j == i:
+            continue
+        a, b = pairing(p, q), pairing(p, e0)
+        if a == 0:
+            if b < 0:
+                return ()
+        elif a > 0:
+            lo = -(b // a) if lo is None else max(lo, -(b // a))
+        else:
+            hi = b // -a if hi is None else min(hi, b // -a)
+    found = []
+    for k in range(lo, hi + 1):
+        e = (e0[0] + k * q[0], e0[1] + k * q[1])
+        if all(pairing(p, e) or adjacent(fan, i, j)
+               for j, p in enumerate(fan.rays) if j != i):
+            found.append(DemazureRoot(e=e, ray=i))
+    return tuple(sorted(found))
+
+
+def _unimodular_images(seed, count):
+    # small random fans moved by random unimodular maps: coordinates up to
+    # 10^6 that still carry roots (rays drawn up to 10^6 almost never do)
+    rng = random.Random(seed)
+    out = []
+    for fan in _random_fans(seed, count, max_rays=8):
+        g = 0
+        while g != 1:
+            a, b = rng.randint(-10**5, 10**5), rng.randint(-10**5, 10**5)
+            g, x, y = xgcd(a, b)
+        # rows (a, b) and (-y, x): determinant a*x + b*y = 1
+        out.append(build_fan([(a * u + b * v, x * v - y * u)
+                              for u, v in fan.rays]))
+    return out
+
+
+def test_neighbour_roots_match_all_rays_reference():
+    fans = _random_fans(13, 150, bound=10**6, max_rays=8)
+    fans += _unimodular_images(17, 150)
+    fans += [build_fan(example_fan(f"f:{a}")) for a in range(201)]
+    fans += [build_fan([(1, 0), (0, 1), (-1, -a)]) for a in range(1, 201)]
+    sizes = set()
+    for fan in fans:
+        sizes.add(fan.nrays)
+        for i in range(fan.nrays):
+            assert enumerate_roots_at(fan, i) == _roots_all_rays(fan, i)
+        assert check_cone_condition_redundant(fan)
+        classify(fan, with_actions=False)
+    assert sizes == set(range(3, 9))
 
 
 def _brute_force_box(fan, bound):
@@ -284,8 +364,8 @@ def test_roots_enumerated_once_per_fan(monkeypatch, capsys):
     monkeypatch.setattr(toric_additive.roots, "enumerate_roots_at", counting)
     c = classify(build_fan(example_fan("f1")))
     assert verification_report(c)["all_pass"]
-    # 4 rays, once with the cone condition and once without
-    assert len(calls) == 8
+    # once per ray of f1
+    assert len(calls) == 4
     assert roots_by_ray(c.fan) is c.root_system.per_ray
     calls.clear()
     assert main(["roots", "--example", "f1"]) == 0
@@ -296,7 +376,6 @@ def test_root_memo_leaves_fan_identity():
     rays = example_fan("f1")
     fan = build_fan(rays)
     per_ray = roots_by_ray(fan)
-    roots_by_ray(fan, cone_condition=False)
     fresh = build_fan(rays)
     assert fan == fresh
     assert hash(fan) == hash(fresh)

@@ -114,6 +114,26 @@ def test_roots_box_oracle_detects_escaping_roots():
     assert not check_roots_box_oracle(fan, 2)
 
 
+@pytest.mark.parametrize("planted", [
+    (-1, 2),  # pairs -1 with the far ray (-1, -1)
+    (-1, 1),  # pairs 0 with the far ray (-1, -1)
+    (-2, 0),  # pairs -2 with its own ray (1, 0), >= 0 with the others
+])
+def test_cone_condition_check_catches_planted_root(monkeypatch, planted):
+    # f1: ray 0 = (1, 0) spans cones with (0, 1) and (0, -1), not (-1, -1);
+    # by the neighbour theorem of roots.py the first two also pair
+    # negatively with (0, -1)
+    c = classify(build_fan(example_fan("f1")))
+    assert not adjacent(c.fan, 0, 2)
+    per_ray = list(verify.roots_by_ray(c.fan))
+    per_ray[0] += (DemazureRoot(e=planted, ray=0),)
+    monkeypatch.setattr(verify, "roots_by_ray", lambda fan: tuple(per_ray))
+    assert not check_cone_condition_redundant(c.fan)
+    rep = verification_report(c)
+    assert rep["checks"]["cone_condition_redundant"] is False
+    assert rep["all_pass"] is False
+
+
 def test_bracket_table_catalog():
     for name, d in (("p112", 2), ("p113", 3), ("p2", 1), ("p1xp1", 0)):
         basis = find_admissible_basis(example_fan(name))
