@@ -15,6 +15,22 @@ e, so the other inequalities and the cone condition are implied.  By
 completeness, det(prev, p_i) > 0 and det(p_i, nxt) > 0: the neighbours
 bound the parametrised line <p_i, e> = -1 from opposite sides, so the root
 set is an integer interval read off without any search.
+
+A positive system needs no search either.  Let p1, p2 be an admissible
+basis with duals d1, d2 (<p_k, d_l> = 1 if k = l, else 0), so every other
+ray is p = -a1*p1 - a2*p2 with a1, a2 >= 0.  A root of p1 is -d1 + k*d2
+and a root of p2 is -d2 + k*d1, each with k >= 0.  A root e of another ray
+pairs to x, y >= 0 with p1, p2 and -a1*x - a2*y = -1, so e is d1 or d2.
+Hence e and -e are both roots only for e among +-d1, +-d2 and +-(d1 - d2).
+Such p pairs to a2 - a1 with d1 - d2 and to a1 - a2 with d2 - d1, so both
+are roots only when a1 = a2 for every other ray, that is, when the only
+other ray is -p1 - p2 and the fan is an image of P^2.  A regular vector u
+must pair negatively with d1 and d2 and, on an image of P^2, positively
+with d1 - d2; that fixes the sign of every semisimple root, so any u
+meeting these constraints cuts the same positive system.  u = -(p1 + p2)
+pairs to -1, -1 and 0 with d1, d2 and d1 - d2, and u = -(p1 + 2*p2) to
+-1, -2 and 1: the first serves every fan but the images of P^2, the
+second serves those.
 """
 
 from __future__ import annotations
@@ -29,7 +45,6 @@ from .lattice import (
     LatticeVec,
     pairing,
     solve_pairing_line,
-    vadd,
     vneg,
     vsub,
 )
@@ -45,8 +60,10 @@ class RootSystem:
     """All roots of a fan, split into semisimple and unipotent parts.
 
     ``positive`` and ``regular_vector`` are populated only when the fan
-    admits an additive action: positivity is cut out by a regular one
-    parameter subgroup u chosen relative to an admissible basis.
+    admits an additive action.  For the admissible basis p1, p2 in use,
+    ``regular_vector`` is u = -(p1 + p2), or u = -(p1 + 2*p2) on an image
+    of P^2 (see ``select_regular_vector``), and ``positive`` holds the
+    unipotent roots and the semisimple roots e with <u, e> > 0.
     """
 
     per_ray: tuple[tuple[DemazureRoot, ...], ...]
@@ -108,64 +125,22 @@ def split_semisimple(per_ray: Sequence[Sequence[DemazureRoot]]
     return semi, unip
 
 
-def _spiral(radius: int) -> Iterable[tuple[int, int]]:
-    # Deterministic square spiral: ring 0, then each ring walked
-    # counterclockwise starting from its east corner (r, 0).
-    yield (0, 0)
-    for r in range(1, radius + 1):
-        for y in range(0, r + 1):
-            yield (r, y)
-        for x in range(r - 1, -r - 1, -1):
-            yield (x, r)
-        for y in range(r - 1, -r - 1, -1):
-            yield (-r, y)
-        for x in range(-r + 1, r + 1):
-            yield (x, -r)
-        for y in range(-r + 1, 0):
-            yield (r, y)
-
-
 def select_regular_vector(fan: Fan2, basis, semisimple: Iterable[CharVec]
                           ) -> LatticeVec:
-    """Choose a one parameter subgroup u that cuts a positive system.
+    """The one parameter subgroup u that cuts the positive system.
 
-    Requirements: <u, e> != 0 for every semisimple root e, <u, w> < 0 for
-    both dual vectors w of the basis, and, when both p1* - p2* and its
-    negative are semisimple roots, <u, p1* - p2*> > 0 so that the first
-    basis ray keeps exactly one positive root.
-
-    The search tries u0 = -(p1 + p2) first and then scans Q*u0 + delta for
-    Q = 1, 2, ... with delta on a deterministic square spiral, accepting the
-    first candidate that satisfies all constraints; past the scan's bound,
-    u = -(p1 + b*p2) with the least b >= 2 that makes every <u, e> nonzero.
+    u pairs to nonzero with every semisimple root, negatively with both dual
+    vectors d1, d2 of the admissible basis and, when d1 - d2 and its
+    negative are both semisimple, positively with d1 - d2, so that the first
+    basis ray keeps exactly one positive root.  By the lemma in the module
+    docstring u = -(p1 + p2) meets this on every fan but the images of P^2,
+    where u = -(p1 + 2*p2) does.
     """
     i1, i2 = basis.basis_indices
     p1, p2 = fan.rays[i1], fan.rays[i2]
-    semi = tuple(semisimple)
-    # Roots on non-basis rays lie among the duals d1, d2.  u0 pairs to -1
-    # with both, and the search only leaves u0 on P^2-like fans, whose
-    # non-basis roots are exactly d1, d2; so constraining by both duals
-    # picks the same u without enumerating the non-basis rays.
-    d1, d2 = basis.duals[0], basis.duals[1]
-    eplus = vsub(d1, d2)
-    semi_set = set(semi)
-    sign_constrained = eplus in semi_set and vneg(eplus) in semi_set
-    u0 = vneg(vadd(p1, p2))
-    for q_factor in range(1, 65):
-        base = (q_factor * u0[0], q_factor * u0[1])
-        for dx, dy in _spiral(8):
-            u = (base[0] + dx, base[1] + dy)
-            if any(pairing(u, e) == 0 for e in semi):
-                continue
-            if pairing(u, d1) >= 0 or pairing(u, d2) >= 0:
-                continue
-            if sign_constrained and pairing(u, eplus) <= 0:
-                continue
-            return u
-    # u = -(p1 + b*p2) pairs to -1 with d1, -b with d2 and b - 1 with
-    # d1 - d2; each semisimple root vanishes on it for at most one b.
-    b = next(b for b in range(2, len(semi) + 3)
-             if all(pairing(p1, e) + b * pairing(p2, e) for e in semi))
+    eplus = vsub(basis.duals[0], basis.duals[1])
+    semi = set(semisimple)
+    b = 2 if eplus in semi and vneg(eplus) in semi else 1
     return (-p1[0] - b * p2[0], -p1[1] - b * p2[1])
 
 

@@ -242,6 +242,14 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     if not heavy:
         return report
+
+    def verify_fan(rays, c) -> None:
+        rep = verification_report(c, box=box, seed=seed)
+        if not rep["all_pass"]:
+            failing = [k for k, v in rep["checks"].items() if not v]
+            report.record_violation(
+                "verification", {"rays": rays, "failing": failing})
+
     t1 = time.perf_counter()
     for pos, (rays, d_light) in enumerate(admitting_fans):
         if pos % heavy_stride:
@@ -253,11 +261,7 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                 "light_heavy_disagree",
                 {"rays": rays, "d_light": d_light, "d_heavy": c.d})
             continue
-        rep = verification_report(c, box=box, seed=seed)
-        if not rep["all_pass"]:
-            failing = [k for k, v in rep["checks"].items() if not v]
-            report.record_violation(
-                "verification", {"rays": rays, "failing": failing})
+        verify_fan(rays, c)
         if progress and report.heavy_checked % 200 == 0:
             progress("heavy", report.heavy_checked)
     for rays in nonadmitting_picks:
@@ -266,10 +270,6 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         if c.admits_action or c.num_classes != 0 or c.collections:
             report.record_violation("nonadmitting_mismatch", {"rays": rays})
             continue
-        rep = verification_report(c, box=box, seed=seed)
-        if not rep["all_pass"]:
-            failing = [k for k, v in rep["checks"].items() if not v]
-            report.record_violation(
-                "verification", {"rays": rays, "failing": failing})
+        verify_fan(rays, c)
     report.t_heavy = time.perf_counter() - t1
     return report

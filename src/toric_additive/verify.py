@@ -42,8 +42,22 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import Fan2, adjacent
-from .lattice import integer_row, mat_det, pairing, primitive, vneg
+from .lattice import CharVec, integer_row, mat_det, pairing, primitive, vneg
 from .roots import DemazureRoot, roots_by_ray
+
+
+def _other_rays_allow(fan: Fan2, i: int, e: CharVec) -> bool:
+    """Every ray but p_i pairs >= 0 with e, and 0 only beside p_i.
+
+    Together with <p_i, e> = -1 this is the full definition of a root of
+    ray i, cone condition included.
+    """
+    for j, p in enumerate(fan.rays):
+        if j != i:
+            w = pairing(p, e)
+            if w < 0 or (w == 0 and not adjacent(fan, i, j)):
+                return False
+    return True
 
 
 def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
@@ -69,14 +83,8 @@ def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
             line = [(-a, ey) for ey in span]
         else:
             continue
-        others = [(j, p) for j, p in enumerate(fan.rays) if j != i]
-        for e in line:
-            for j, p in others:
-                w = pairing(p, e)
-                if w < 0 or (w == 0 and not adjacent(fan, i, j)):
-                    break
-            else:
-                found.add(DemazureRoot(e=e, ray=i))
+        found.update(DemazureRoot(e=e, ray=i) for e in line
+                     if _other_rays_allow(fan, i, e))
     return frozenset(found)
 
 
@@ -98,13 +106,9 @@ def check_cone_condition_redundant(fan: Fan2) -> bool:
     <p_i, e> = -1, and every other ray pairs >= 0 with e, and 0 only when
     it spans a cone with p_i; the enumeration reads only p_i's neighbours.
     """
-    for i, roots in enumerate(roots_by_ray(fan)):
-        for r in roots:
-            w = [pairing(p, r.e) for p in fan.rays]
-            if w[i] != -1 or any(x < 0 or (x == 0 and not adjacent(fan, i, j))
-                                 for j, x in enumerate(w) if j != i):
-                return False
-    return True
+    return all(pairing(fan.rays[i], r.e) == -1
+               and _other_rays_allow(fan, i, r.e)
+               for i, roots in enumerate(roots_by_ray(fan)) for r in roots)
 
 
 def check_collections_bases_bijection(fan: Fan2) -> bool:

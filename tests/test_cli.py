@@ -7,6 +7,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -275,13 +276,22 @@ def test_output_file(capsys, tmp_path):
     assert doc["num_classes"] == 2
 
 
-def test_render_svg(capsys):
-    code, out, _ = run_cli(capsys, "render", "--example", "f1")
-    assert code == 0
-    assert out.lstrip().startswith("<svg")
-    assert out.count('class="ray-arrow"') == 4
-    assert 'class="root-point"' in out
-    assert "</svg>" in out
+def test_render_svg(capsys, tmp_path):
+    # a JSON name with markup characters lands escaped in the SVG title
+    f = tmp_path / "fan.json"
+    f.write_text(json.dumps(
+        {"name": "a<b&c", "rays": [[1, 0], [0, 1], [-1, -1], [0, -1]]}))
+    for name, source in (("f1", ("--example", "f1")),
+                         ("a<b&c", ("--input", str(f)))):
+        code, out, _ = run_cli(capsys, "render", *source)
+        assert code == 0
+        assert out.lstrip().startswith("<svg")
+        assert out.count('class="ray-arrow"') == 4
+        assert 'class="root-point"' in out
+        assert "</svg>" in out
+        root = ElementTree.fromstring(out)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert name in texts
 
 
 def test_examples_listing(capsys):

@@ -122,7 +122,7 @@ def test_semisimple_is_intersection_with_negatives():
 
 
 def test_regular_vector_examples():
-    # with no semisimple constraint the first candidate -(p1+p2) wins
+    # off the images of P^2, u = -(p1 + p2)
     fan = build_fan(example_fan("wide"))
     basis = find_admissible_basis(fan.rays, validate=False)
     assert select_regular_vector(fan, basis, ()) == (-1, -1)
@@ -133,10 +133,13 @@ def test_regular_vector_examples():
 
 
 def test_regular_vector_constraints():
-    for name in ("p2", "f1", "p112", "p113", "wide", "p1xp1"):
-        fan = build_fan(example_fan(name))
-        basis = find_admissible_basis(fan.rays, validate=False)
-        rs = all_roots(fan, basis)
+    # the constraints of select_regular_vector, and its closed form
+    fans = [build_fan(example_fan(name))
+            for name in ("p2", "f1", "p112", "p113", "wide", "p1xp1")]
+    fans += [fan for fan, _ in _fans_with_images(31)]
+    for fan in fans:
+        c = classify(fan, with_actions=False)
+        basis, rs = c.basis, c.root_system
         u = rs.regular_vector
         assert u is not None
         for e in rs.semisimple:
@@ -144,6 +147,14 @@ def test_regular_vector_constraints():
         for j in basis.nonbasis_indices:
             for root in enumerate_roots_at(fan, j):
                 assert pairing(u, root.e) < 0
+        d1, d2 = basis.duals
+        eplus = (d1[0] - d2[0], d1[1] - d2[1])
+        assert pairing(u, d1) < 0 and pairing(u, d2) < 0
+        if eplus in rs.semisimple and vneg(eplus) in rs.semisimple:
+            assert pairing(u, eplus) > 0
+        p1, p2 = (fan.rays[i] for i in basis.basis_indices)
+        b = 2 if _is_p2_image(fan, p1, p2) else 1
+        assert u == (-p1[0] - b * p2[0], -p1[1] - b * p2[1])
 
 
 def test_sign_convention_on_opposite_pair():
@@ -162,9 +173,8 @@ def test_sign_convention_on_opposite_pair():
 
 
 def test_regular_vector_fallback_on_large_duals():
-    # P^2 under a unimodular map with entries near 10^5: its duals are so
-    # long that no candidate of the spiral scan pairs negatively with both,
-    # so u = -(p1 + b*p2) is taken, here with b = 2
+    # P^2 under a unimodular map with entries near 10^5: however long its
+    # duals, an image of P^2 takes u = -(p1 + 2*p2)
     fan = build_fan([(-114903, 3217), (-16180, 453), (131083, -3670)])
     basis = find_admissible_basis(fan.rays, validate=False)
     rs = all_roots(fan, basis)
@@ -304,14 +314,24 @@ def _unimodular_images(seed, count):
     rng = random.Random(seed)
     out = []
     for fan in _random_fans(seed, count, max_rays=8):
-        g = 0
-        while g != 1:
-            a, b = rng.randint(-10**5, 10**5), rng.randint(-10**5, 10**5)
-            g, x, y = xgcd(a, b)
-        # rows (a, b) and (-y, x): determinant a*x + b*y = 1
-        out.append(build_fan([(a * u + b * v, x * v - y * u)
-                              for u, v in fan.rays]))
+        g = _random_unimodular(rng, 10**5)
+        out.append(build_fan([_act(g, p) for p in fan.rays]))
     return out
+
+
+def _random_unimodular(rng, size):
+    # rows (a, b) and (-y, x) have determinant a*x + b*y = 1; negating the
+    # second row gives determinant -1
+    g = 0
+    while g != 1:
+        a, b = rng.randint(-size, size), rng.randint(-size, size)
+        g, x, y = xgcd(a, b)
+    sign = rng.choice((1, -1))
+    return ((a, b), (-sign * y, sign * x))
+
+
+def _act(g, v):
+    return (g[0][0] * v[0] + g[0][1] * v[1], g[1][0] * v[0] + g[1][1] * v[1])
 
 
 def test_neighbour_roots_match_all_rays_reference():
@@ -327,6 +347,57 @@ def test_neighbour_roots_match_all_rays_reference():
         assert check_cone_condition_redundant(fan)
         classify(fan, with_actions=False)
     assert sizes == set(range(3, 9))
+
+
+def _fans_with_images(seed):
+    # admitting random fans and images of P^2, each paired with a random
+    # unimodular map g
+    rng = random.Random(seed)
+    fans = [f for f in _random_fans(seed, 150)
+            if find_admissible_basis(f.rays, validate=False) is not None]
+    p2 = example_fan("p2")
+    for size in (1, 3, 10, 10**5):
+        for _ in range(10):
+            g = _random_unimodular(rng, size)
+            fans.append(build_fan([_act(g, p) for p in p2]))
+    fans.append(build_fan([(3, 2), (-2, -1), (-1, -1)]))
+    return [(fan, _random_unimodular(rng, rng.choice((2, 50))))
+            for fan in fans]
+
+
+def _is_p2_image(fan, p1, p2):
+    return fan.nrays == 3 and vneg((p1[0] + p2[0], p1[1] + p2[1])) in fan.rays
+
+
+def test_semisimple_roots_among_duals():
+    # lemma of the roots module: semisimple roots lie among +-d1, +-d2 and
+    # +-(d1 - d2), and +-(d1 - d2) are both roots only on images of P^2
+    p2_images = 0
+    for fan, _ in _fans_with_images(29):
+        basis = find_admissible_basis(fan.rays, validate=False)
+        d1, d2 = basis.duals
+        eplus = (d1[0] - d2[0], d1[1] - d2[1])
+        allowed = {d1, d2, eplus}
+        allowed |= {vneg(e) for e in allowed}
+        semi = set(all_roots(fan, basis).semisimple)
+        assert semi <= allowed
+        p1, p2 = (fan.rays[i] for i in basis.basis_indices)
+        is_p2 = _is_p2_image(fan, p1, p2)
+        assert (eplus in semi) == is_p2
+        p2_images += is_p2
+    assert p2_images >= 41
+
+
+def test_regular_vector_is_equivariant():
+    for fan, g in _fans_with_images(37):
+        u = classify(fan, with_actions=False).root_system.regular_vector
+        image = build_fan([_act(g, p) for p in fan.rays])
+        c = classify(image, with_actions=False)
+        assert c.root_system.regular_vector == _act(g, u)
+    # the image of p2 under the columns (3, 2), (-2, -1)
+    fan = build_fan([(3, 2), (-2, -1), (-1, -1)])
+    u = classify(fan, with_actions=False).root_system.regular_vector
+    assert u == _act(((3, -2), (2, -1)), (-1, -2)) == (1, 0)
 
 
 def _brute_force_box(fan, bound):
