@@ -19,7 +19,7 @@ from .coxring import (
     build_lnd_family,
     emit_actions,
 )
-from .errors import InternalInconsistency, NotABasis, UnsupportedDimension
+from .errors import InternalInconsistency, NotABasis
 from .fan import Fan2, build_fan
 from .lattice import (
     CharVec,
@@ -41,31 +41,30 @@ from .roots import (
 
 @dataclass(frozen=True)
 class AdmissibleBasis:
-    """An ordered ray pair forming a lattice basis that dominates the rest.
+    """An ordered ray pair forming a basis of Z^2 that dominates the rest.
 
-    ``alpha[r][k]`` is the coefficient of -rays[basis_indices[k]] in the
-    expansion of the non-basis ray rays[nonbasis_indices[r]]; admissibility
-    means every coefficient is nonnegative, i.e. all remaining rays lie in
-    the closed negative octant spanned by the basis.
+    ``duals[k]`` pairs to 1 with rays[basis_indices[k]] and to 0 with the
+    other basis ray.  ``alpha[r][k]`` is the coefficient of
+    -rays[basis_indices[k]] in the expansion of the non-basis ray
+    rays[nonbasis_indices[r]]; admissibility means every coefficient is
+    nonnegative, i.e. all remaining rays lie in the closed negative octant
+    spanned by the basis.
     """
 
     rays: tuple[LatticeVec, ...]
-    basis_indices: tuple[int, ...]
-    duals: tuple[CharVec, ...]
+    basis_indices: tuple[int, int]
+    duals: tuple[CharVec, CharVec]
     nonbasis_indices: tuple[int, ...]
-    alpha: tuple[tuple[int, ...], ...]
+    alpha: tuple[tuple[int, int], ...]
 
 
 def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
                       ) -> Iterator[AdmissibleBasis]:
-    """Admissible bases in lexicographic order of index tuples."""
+    """Admissible bases in lexicographic order of index pairs."""
     clean = int_rays(rays)
-    if not clean:
-        return
-    n = len(clean[0])
-    if validate and n == 2:
+    if validate:
         build_fan(clean)
-    for perm in permutations(range(len(clean)), n):
+    for perm in permutations(range(len(clean)), 2):
         try:
             duals = unimodular_duals([clean[i] for i in perm])
         except NotABasis:
@@ -87,8 +86,8 @@ def find_admissible_basis(rays: Sequence[Sequence[int]], *,
                           validate: bool = True) -> AdmissibleBasis | None:
     """First admissible basis in lexicographic order of index pairs, or None.
 
-    Works for rays of any rank n (taking ordered n-tuples); fan validation
-    is only available, and only applied, in rank 2.
+    With validate, the rays must form a complete fan (see build_fan);
+    without it they need only be int pairs.
     """
     return next(_admissible_bases(rays, validate), None)
 
@@ -158,8 +157,6 @@ def is_wide(fan: Fan2, basis: AdmissibleBasis) -> bool:
 
 
 def _swapped(basis: AdmissibleBasis) -> AdmissibleBasis:
-    if len(basis.basis_indices) != 2:
-        raise UnsupportedDimension("basis reversal implemented for rank 2 only")
     return AdmissibleBasis(
         rays=basis.rays,
         basis_indices=(basis.basis_indices[1], basis.basis_indices[0]),
@@ -243,10 +240,5 @@ def classify(fan: Fan2, *, with_actions: bool = True) -> Classification:
 
 def classify_rays(rays: Sequence[Sequence[int]], *,
                   with_actions: bool = True) -> Classification:
-    """Validate rays as a complete rank 2 fan, then classify."""
-    clean = int_rays(rays)
-    if clean and len(clean[0]) != 2:
-        raise UnsupportedDimension(
-            f"classification is implemented for rank 2 fans; got vectors "
-            f"of length {len(clean[0])}")
-    return classify(build_fan(clean), with_actions=with_actions)
+    """Validate rays as a complete fan, then classify."""
+    return classify(build_fan(rays), with_actions=with_actions)

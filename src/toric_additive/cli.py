@@ -105,7 +105,14 @@ def _load_rays(args) -> tuple[list[tuple[int, ...]], str]:
             raise ValueError('JSON fan input needs a "rays" key')
         rays = _json_rays(doc["rays"])
         name = doc.get("name", name)
-        if doc.get("normalize_rays"):
+        if not isinstance(name, str):
+            raise ValueError(
+                f'"name" must be a string; got {json.dumps(name)}')
+        normalize = doc.get("normalize_rays", False)
+        if type(normalize) is not bool:
+            raise ValueError('"normalize_rays" must be true or false; '
+                             f"got {json.dumps(normalize)}")
+        if normalize:
             rays = [primitive(r)[0] for r in rays]
     else:
         rays = _parse_ray_text(text)
@@ -114,9 +121,6 @@ def _load_rays(args) -> tuple[list[tuple[int, ...]], str]:
 
 def _load_fan(args) -> tuple[Fan2, str]:
     rays, name = _load_rays(args)
-    if rays and len(rays[0]) != 2:
-        raise UnsupportedDimension(
-            f"fans of rank {len(rays[0])} are not supported")
     return build_fan(rays), name
 
 
@@ -127,7 +131,7 @@ def _seed(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError("TORIC_ADDITIVE_SEED must be an integer")
-    return getattr(args, "seed", 0)
+    return args.seed
 
 
 def _emit(args, text: str) -> None:
@@ -367,10 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--format", choices=("text", "json"), default="text")
     io.add_argument("-o", "--output", metavar="FILE", default=None,
                     help="write to FILE instead of stdout")
-    io.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized verification points; the "
-                         "TORIC_ADDITIVE_SEED environment variable takes "
-                         "precedence")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized verification points; the "
+                             "TORIC_ADDITIVE_SEED environment variable takes "
+                             "precedence")
 
     p = sub.add_parser("validate", parents=[source, io],
                        help="check rays for a valid complete fan")
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("actions", parents=[source, io],
                        help="emit explicit polynomial action formulas")
     p.set_defaults(func=cmd_actions)
-    p = sub.add_parser("verify", parents=[source, io],
+    p = sub.add_parser("verify", parents=[source, io, seeded],
                        help="run all verification oracles on one fan")
     p.add_argument("--box", type=_int_at_least(0), default=10,
                    help="half-width of the brute force root search box")
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", parents=[io],
                        help="list the named example fans")
     p.set_defaults(func=cmd_examples)
-    p = sub.add_parser("sweep", parents=[io],
+    p = sub.add_parser("sweep", parents=[io, seeded],
                        help="enumerate small complete fans and cross-check")
     p.add_argument("--bound", type=_int_at_least(1), default=3,
                    help="coordinate bound for the primitive ray pool")

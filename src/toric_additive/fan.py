@@ -60,7 +60,7 @@ class Fan2:
 def build_fan(rays) -> Fan2:
     """Validate rays and assemble the complete fan they generate.
 
-    Raises TypeError for a coordinate that is not an int, then
+    Raises TypeError or UnsupportedDimension (from int_rays), then
     NotPrimitive, DuplicateRay, NotComplete or TooFewRays.  The
     completeness test (every angular gap strictly below half a turn) is run
     before the ray-count check, so two rays fail with NotComplete rather
@@ -70,8 +70,6 @@ def build_fan(rays) -> Fan2:
     if not rays:
         raise TooFewRays(0)
     for i, r in enumerate(rays):
-        if len(r) != 2:
-            raise NotPrimitive(i, r)
         if not is_primitive(r):
             raise NotPrimitive(i, r)
     seen: dict[LatticeVec, int] = {}

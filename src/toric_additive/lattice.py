@@ -1,9 +1,11 @@
-"""Exact integer arithmetic on a lattice N and its dual M.
+"""Exact integer arithmetic on the rank 2 lattice N = Z^2 and its dual M.
 
 Vectors are plain tuples of Python ints.  ``LatticeVec`` lives in N (the
 lattice of one-parameter subgroups), ``CharVec`` in the dual M (characters);
-the two are linked only through :func:`pairing`.  All elimination is the
-fraction-free :func:`_bareiss`.  No floating point is used anywhere.
+the two are linked only through :func:`pairing`, and :func:`int_rays` is the
+one gate for ray input.  Dual bases are the closed-form 2x2 inverse; the
+only elimination is the fraction-free :func:`_bareiss`.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import LengthMismatch, NotABasis, NotPrimitive, ZeroVector
+from .errors import (
+    LengthMismatch,
+    NotABasis,
+    NotPrimitive,
+    UnsupportedDimension,
+    ZeroVector,
+)
 
 LatticeVec = tuple[int, ...]
 CharVec = tuple[int, ...]
@@ -23,12 +31,6 @@ def pairing(p: LatticeVec, e: CharVec) -> int:
     if len(p) != len(e):
         raise LengthMismatch(f"pairing of lengths {len(p)} and {len(e)}")
     return sum(map(mul, p, e))
-
-
-def vadd(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(u) != len(v):
-        raise LengthMismatch(f"adding lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -69,13 +71,16 @@ def det2(p: LatticeVec, q: LatticeVec) -> int:
 
 
 def int_rays(rays) -> tuple[LatticeVec, ...]:
-    """Rays as tuples of ints; any other coordinate (bool too) is refused."""
+    """Rays as int pairs; refuses other coordinates (bool too) and lengths."""
     out = tuple(tuple(r) for r in rays)
     for r in out:
         for c in r:
             if type(c) is not int:  # bool is an int subclass
                 raise TypeError(
                     f"ray coordinates must be int, got {c!r} in {r!r}")
+        if len(r) != 2:
+            raise UnsupportedDimension(
+                f"only rank 2 lattices are supported; got ray {r!r}")
     return out
 
 
@@ -111,7 +116,7 @@ def solve_pairing_line(p: LatticeVec, c: int) -> tuple[CharVec, CharVec]:
     sign of q is fixed by making its first nonzero coordinate positive.
     """
     if len(p) != 2:
-        raise LengthMismatch("parameter line solving is implemented for rank 2")
+        raise LengthMismatch("the pairing line needs a vector of length 2")
     g, x, y = xgcd(p[0], p[1])
     if g != 1:
         raise NotPrimitive(-1, tuple(p))
@@ -177,24 +182,19 @@ def mat_det(rows: list[LatticeVec]) -> int:
     return sign * a[0][0] if len(pivots) == n else 0
 
 
-def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, ...]:
-    """Dual basis vectors for an integer basis with determinant +-1, any rank.
+def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, CharVec]:
+    """Dual basis of a lattice basis p, q of Z^2 (determinant +-1).
 
-    Entry j of the result pairs to 1 with rows[j] and to 0 with the others.
+    Entry j of the result pairs to 1 with rows[j] and to 0 with the other.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise LengthMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return ()
-    # Eliminating [rows | I] leaves [D*I | D*rows^-1]; dual j is column j
-    # of rows^-1, and dividing by D = +-1 is multiplying by it.
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    pivots, sign = _bareiss(a, n)
-    d = a[0][0] if len(pivots) == n else 0
-    if abs(d) != 1:
-        raise NotABasis(f"determinant {sign * d} is not a unit")
-    return tuple(tuple(d * a[i][n + j] for i in range(n)) for j in range(n))
+    if len(rows) != 2:
+        raise LengthMismatch("a dual basis of Z^2 needs two vectors")
+    p, q = rows
+    d = det2(p, q)
+    if d not in (1, -1):
+        raise NotABasis(f"determinant {d} is not a unit")
+    # the inverse of [[p0, p1], [q0, q1]] is its adjugate times d = 1/d
+    return (d * q[1], -d * q[0]), (-d * p[1], d * p[0])
 
 
 def fraction_solve(rows: list[list], rhs: list) -> list | None:

@@ -213,13 +213,13 @@ def test_non_int_coordinates_refused():
         classify_rays([("1", 0), (0, 1), (-1, -1)])
 
 
-def test_admissible_basis_in_rank_three():
-    # the basis search itself is rank agnostic
-    basis = find_admissible_basis(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], validate=False)
-    assert basis is not None
-    assert len(basis.basis_indices) == 3
-    assert basis.alpha == ((1, 1, 1),)
+def test_admissible_basis_refuses_rank_three():
+    # the ray gate refuses any ray that is not a pair, with or without
+    # fan validation
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    for validate in (True, False):
+        with pytest.raises(UnsupportedDimension, match="rank"):
+            find_admissible_basis(rays, validate=validate)
 
 
 def test_d_is_basis_independent():

@@ -185,11 +185,14 @@ FAN_COMMANDS = ("validate", "roots", "classify", "actions", "verify", "render")
 
 def test_rank_3_input_rejected(capsys, tmp_path):
     f = tmp_path / "p3.txt"
-    f.write_text("1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
-    for cmd in FAN_COMMANDS:
-        code, _, err = run_cli(capsys, cmd, "--input", str(f))
-        assert code == 2, cmd
-        assert "rank" in err, cmd
+    # every ray is checked, not only the first: in the mixed fan the
+    # primitive (0, 1, 0) is refused for its rank
+    for text in ("1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n", "1 0\n0 1 0\n-1 -1\n"):
+        f.write_text(text)
+        for cmd in FAN_COMMANDS:
+            code, _, err = run_cli(capsys, cmd, "--input", str(f))
+            assert code == 2, cmd
+            assert "rank" in err and "not primitive" not in err, cmd
 
 
 def test_unknown_example_exit_1(capsys):
@@ -219,6 +222,20 @@ def test_bad_json_exit_1(capsys, tmp_path):
         assert named in err and "Traceback" not in err, rays
 
 
+def test_json_name_and_normalize_must_be_typed(capsys, tmp_path):
+    f = tmp_path / "fan.json"
+    rays = [[1, 0], [0, 1], [-1, -1]]
+    for extra, named in (({"name": 5}, '"name"'),
+                         ({"name": None}, "null"),
+                         ({"normalize_rays": 1}, '"normalize_rays"'),
+                         ({"normalize_rays": "yes"}, '"yes"')):
+        f.write_text(json.dumps({"rays": rays, **extra}))
+        for cmd in ("validate", "render"):
+            code, out, err = run_cli(capsys, cmd, "--input", str(f))
+            assert (code, out) == (1, ""), (extra, cmd)
+            assert named in err and "Traceback" not in err, (extra, cmd)
+
+
 def test_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify",
                            "--input", str(tmp_path / "absent.txt"))
@@ -236,7 +253,11 @@ def test_usage_error_exits_1(capsys):
                  ["sweep", "--bound", "0", "--light"],
                  ["sweep", "--bound", "1", "--min-rays", "9",
                   "--max-rays", "3", "--light"],
-                 ["sweep", "--bound", "1", "--max-rays", "1", "--light"]):
+                 ["sweep", "--bound", "1", "--max-rays", "1", "--light"],
+                 # only verify and sweep draw random points
+                 *([cmd, "--example", "p2", "--seed", "1"] for cmd in
+                   ("validate", "roots", "classify", "actions", "render")),
+                 ["examples", "--seed", "1"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1, argv

@@ -10,6 +10,7 @@ from toric_additive.errors import (
     NotComplete,
     NotPrimitive,
     TooFewRays,
+    UnsupportedDimension,
 )
 from toric_additive.fan import adjacent, build_fan
 from toric_additive.lattice import det2
@@ -52,7 +53,7 @@ def test_empty_rays():
 def test_not_primitive():
     with pytest.raises(NotPrimitive):
         build_fan([(2, 0), (0, 1), (-1, -1)])
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(UnsupportedDimension, match=r"\(1, 0, 0\)"):
         build_fan([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
 
 

