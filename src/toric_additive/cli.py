@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage or input parsing problems, 2 rejected fan
+Exit codes: 0 success, 1 usage or input parsing problems (a ``verify
+--box`` that cuts off some of the fan's roots among them), 2 rejected fan
 data, 3 internal inconsistency (a verification oracle or a cross-check
 failed, which indicates a bug rather than bad input).
 """
@@ -27,9 +28,9 @@ from .errors import (
 from .fan import Fan2, build_fan
 from .lattice import primitive
 from .render import fan_svg
-from .roots import all_roots
+from .roots import all_roots, roots_by_ray
 from .sweep import run_sweep
-from .verify import verification_report
+from .verify import check_roots_box_oracle, verification_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -300,7 +301,17 @@ def cmd_verify(args) -> _Result:
         lines.append(f"{check}: {'PASS' if ok else 'FAIL'}")
     lines.append("all checks passed" if rep["all_pass"]
                  else "SOME CHECKS FAILED")
-    return rep, lines, EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
+    code = EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
+    # a box too small for the fan's roots is a usage problem, not a bug,
+    # when the oracle passes on the smallest box that holds every root
+    if [k for k, ok in rep["checks"].items() if not ok] == ["roots_box_oracle"]:
+        reach = max((max(map(abs, r.e)) for rs in roots_by_ray(fan)
+                     for r in rs), default=0)
+        if reach > args.box and check_roots_box_oracle(fan, reach):
+            print(f"error: a root lies outside --box {args.box}; "
+                  f"--box {reach} holds every root", file=sys.stderr)
+            code = EXIT_USAGE
+    return rep, lines, code
 
 
 def cmd_render(args) -> _Result:

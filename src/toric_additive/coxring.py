@@ -192,28 +192,7 @@ class Poly:
 
     def subs(self, mapping: Mapping[int, "Poly"]) -> "Poly":
         """Simultaneous substitution of generators by polynomials."""
-        for img in mapping.values():
-            self._check_ring(img)
-        # an identity image x_i -> x_i leaves every power of x_i in place
-        mapping = {i: img for i, img in mapping.items()
-                   if len(img.terms) != 1 or not all(
-                       c == 1 and sum(e) == e[i] == 1
-                       for e, c in img.terms.items())}
-        # every factor's terms go into one dict; zeros are dropped once
-        terms: dict[tuple[int, ...], Fraction] = {}
-        get, zero = terms.get, Fraction(0)
-        for e, c in self.terms.items():
-            rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
-            factor = Poly.monomial(self.ring, rest, c)
-            for i, img in mapping.items():
-                if e[i]:
-                    factor = factor * img ** e[i]
-            for f, k in factor.terms.items():
-                terms[f] = get(f, zero) + k
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+        return substitute((self,), mapping)[0]
 
     def eval(self, values: Sequence) -> Fraction:
         if len(values) != self.ring.nvars:
@@ -233,6 +212,50 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_str(self)})"
+
+
+def substitute(polys: Sequence[Poly],
+               mapping: Mapping[int, Poly]) -> tuple[Poly, ...]:
+    """Simultaneous substitution of generators by polynomials, in each poly.
+
+    Each image's powers are built once for all of ``polys``, by increasing
+    exponent, each from the one before times the image to the gap: so
+    exponents 1..n cost one product each, and a lone N costs O(log N).
+    """
+    for p in polys:
+        for img in mapping.values():
+            p._check_ring(img)
+    # an identity image x_i -> x_i leaves every power of x_i in place
+    mapping = {i: img for i, img in mapping.items()
+               if len(img.terms) != 1 or not all(
+                   c == 1 and sum(e) == e[i] == 1
+                   for e, c in img.terms.items())}
+    powers: dict[int, dict[int, Poly]] = {i: {} for i in mapping}
+    for i, table in powers.items():
+        last, prev = 0, None
+        for k in sorted({e[i] for p in polys for e in p.terms if e[i]}):
+            step = mapping[i] if k == last + 1 else mapping[i] ** (k - last)
+            prev = table[k] = step if prev is None else prev * step
+            last = k
+    zero, out = Fraction(0), []
+    for p in polys:
+        # every term's image goes into one dict; zeros are dropped once
+        terms: dict[tuple[int, ...], Fraction] = {}
+        get, unit = terms.get, Poly.const(p.ring, 1)
+        for e, c in p.terms.items():
+            factor = unit
+            for i, table in powers.items():
+                if e[i]:
+                    factor = (table[e[i]] if factor is unit
+                              else factor * table[e[i]])
+            rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
+            for f, k in factor.terms.items():
+                f = tuple(map(add, f, rest))
+                terms[f] = get(f, zero) + c * k
+        q = Poly.__new__(Poly)
+        q.ring, q.terms = p.ring, {e: c for e, c in terms.items() if c}
+        out.append(q)
+    return tuple(out)
 
 
 def poly_str(p: Poly) -> str:
@@ -396,10 +419,10 @@ class Derivation:
         if p.ring != self.ring:
             raise VariableMismatch("argument outside the derivation's ring")
         out = Poly.zero(self.ring)
-        for i, entry in enumerate(self.entries):
-            # p.diff(i) is zero when no term of p contains x_i
-            if not entry.is_zero and any(e[i] for e in p.terms):
-                out = out + entry * p.diff(i)
+        # p.diff(i) is zero unless some term of p contains x_i
+        for i, occurs in enumerate(map(any, zip(*p.terms))):
+            if occurs and not self.entries[i].is_zero:
+                out = out + self.entries[i] * p.diff(i)
         return out
 
     def __add__(self, other: "Derivation") -> "Derivation":
@@ -444,8 +467,9 @@ def derivation_str(D: Derivation) -> str:
 def commutator(a: Derivation, b: Derivation) -> Derivation:
     if a.ring != b.ring:
         raise VariableMismatch("derivations live in different rings")
-    # a.apply(x_i) is a.entries[i], so [a, b](x_i) needs no apply on x_i
-    entries = [a.apply(bi) - b.apply(ai)
+    # a.apply(x_i) is a.entries[i], so [a, b](x_i) needs no apply on x_i,
+    # and it is zero when a_i and b_i both are
+    entries = [a.apply(bi) - b.apply(ai) if ai.terms or bi.terms else ai
                for ai, bi in zip(a.entries, b.entries)]
     char = None
     if a.char is not None and b.char is not None and any(
@@ -499,7 +523,7 @@ class ActionMap:
     def at_params(self, v1, v2) -> tuple[Poly, ...]:
         sub = {self.ring.index("s1"): Poly.const(self.ring, v1),
                self.ring.index("s2"): Poly.const(self.ring, v2)}
-        return tuple(p.subs(sub) for p in self.images)
+        return substitute(self.images, sub)
 
 
 def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
@@ -534,8 +558,7 @@ def compose(first: ActionMap, second: ActionMap) -> ActionMap:
     sub = {i: first.images[i] for i in range(first.ncoords)}
     sub[ring.index("s1")] = Poly.var(ring, ring.index("r1"))
     sub[ring.index("s2")] = Poly.var(ring, ring.index("r2"))
-    images = tuple(p.subs(sub) for p in second.images)
-    return ActionMap(ring=ring, images=images,
+    return ActionMap(ring=ring, images=substitute(second.images, sub),
                      params=("s1", "s2", "r1", "r2"))
 
 
@@ -657,16 +680,14 @@ def torus_conjugate(d: Derivation, t: Sequence) -> Derivation:
     if any(v == 0 for v in vals):
         raise ZeroTorusEntry("torus points have nonzero coordinates")
     ring = d.ring
+    moved = [i for i, entry in enumerate(d.entries) if not entry.is_zero]
+    if any(i >= len(vals) for i in moved):
+        raise NotApplicable(
+            "cannot conjugate a derivation moving the group parameters")
     sub = {i: Poly.var(ring, i) * v for i, v in enumerate(vals)}
-    entries = []
-    for i, entry in enumerate(d.entries):
-        if entry.is_zero:
-            entries.append(entry)
-            continue
-        if i >= len(vals):
-            raise NotApplicable(
-                "cannot conjugate a derivation moving the group parameters")
-        entries.append(entry.subs(sub) * (Fraction(1) / vals[i]))
+    entries = list(d.entries)
+    for i, img in zip(moved, substitute([entries[i] for i in moved], sub)):
+        entries[i] = img * (Fraction(1) / vals[i])
     return Derivation(ring, tuple(entries), char=d.char)
 
 

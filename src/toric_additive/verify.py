@@ -33,6 +33,7 @@ from .coxring import (
     _exact,
     compose,
     degree_of,
+    substitute,
 )
 from .errors import (
     Inconclusive,
@@ -154,8 +155,7 @@ def check_group_law(action: ActionMap) -> bool:
         ring.index("s2"): Poly.var(ring, ring.index("s2"))
         + Poly.var(ring, ring.index("r2")),
     }
-    target = tuple(p.subs(shift) for p in action.images)
-    return composed.images == target
+    return composed.images == substitute(action.images, shift)
 
 
 def check_homogeneous_images(action: ActionMap, grading: ClGrading) -> bool:
@@ -259,12 +259,12 @@ class AnnihilatorReport:
     full_labels: tuple[str, ...]
 
 
-def _stabilizer(action: ActionMap, f: Poly,
+def _stabilizer(action: ActionMap, f: Poly, moved: Poly,
                 m: int) -> tuple[str, tuple[int, int] | None]:
-    """Classify {s : f(action_s(x)) = f(x)} as full, a line, or trivial."""
+    """Classify {s : f(action_s(x)) = f(x)} as full, a line, or trivial,
+    given ``moved`` = f(action_s(x))."""
     ring = action.ring
-    xs = {i: action.images[i] for i in range(m)}
-    g = f.subs(xs) - f
+    g = moved - f
     js1, js2 = ring.index("s1"), ring.index("s2")
     # coefficient of each x-monomial, as a polynomial in (s1, s2)
     system: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
@@ -323,11 +323,13 @@ def annihilator_profile(action: ActionMap,
         x2 = Poly.var(ring, i2)
         probes.append((f"{ring.names[i2]}+M1", x2 + m1))
         probes.append((f"{ring.names[i2]}-M1", x2 - m1))
+    moved = substitute([f for _, f in probes],
+                       {i: action.images[i] for i in range(m)})
     results = []
     lines = set()
     full = []
-    for label, f in probes:
-        kind, line = _stabilizer(action, f, m)
+    for (label, f), g in zip(probes, moved):
+        kind, line = _stabilizer(action, f, g, m)
         results.append(ProbeResult(label=label, kind=kind, line=line))
         if kind == "line":
             lines.add(line)

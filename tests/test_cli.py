@@ -168,6 +168,33 @@ def test_verify_text(capsys, monkeypatch):
     assert "roots_box_oracle: PASS" in out
 
 
+def test_verify_box_too_small_is_a_usage_problem(capsys, monkeypatch):
+    # a box that cuts off roots exits 1 and names the box that holds them
+    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+    for argv, reach in ((("--example", "p2", "--box", "0"), 1),
+                        (("--example", "f:11"), 11)):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert f"--box {reach} holds every root" in err
+        assert "roots_box_oracle: FAIL" in out
+        assert out.rstrip().endswith("SOME CHECKS FAILED")
+    code, out, err = run_cli(capsys, "verify", "--example", "f:11",
+                             "--box", "11")
+    assert code == 0 and not err
+    assert "all checks passed" in out
+
+
+def test_verify_other_failures_keep_exit_3(capsys, monkeypatch):
+    # with a second failing check the small box is not the whole story
+    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+    monkeypatch.setattr("toric_additive.verify.check_group_law",
+                        lambda action: False)
+    code, out, err = run_cli(capsys, "verify", "--example", "f:11")
+    assert code == 3 and not err
+    assert "roots_box_oracle: FAIL" in out
+    assert "group_law_normalized: FAIL" in out
+
+
 def test_invalid_fan_exit_2(capsys, monkeypatch, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("2 4\n0 1\n-1 -1\n")

@@ -31,6 +31,7 @@ from toric_additive.coxring import (
     normal_form,
     parse_poly,
     poly_str,
+    substitute,
     torus_conjugate,
     zero_derivation,
 )
@@ -45,7 +46,13 @@ from toric_additive.errors import (
     ZeroTorusEntry,
 )
 from toric_additive.fan import build_fan
-from toric_additive.verify import verification_report
+from toric_additive.verify import (
+    ActionClass,
+    annihilator_profile,
+    check_group_law,
+    classify_profile,
+    verification_report,
+)
 
 R3 = action_ring(3)
 
@@ -156,6 +163,65 @@ def test_big_coordinates_verify_in_bounded_products(monkeypatch):
     rep = verification_report(classify(fan))
     assert rep["all_pass"], rep["checks"]
     assert count[0] <= 200
+
+
+def test_subs_builds_dense_powers_once(monkeypatch):
+    # (x1 + s1)^k for k = 2..n each come from the one before: one product
+    n = 30
+    image = _p("x1 + s1")
+    p = Poly(R3, {(k, 0, 0, 0, 0, 0, 0): 1 for k in range(n + 1)})
+    expected, power = Poly.zero(R3), Poly.const(R3, 1)
+    for _ in range(n + 1):
+        expected, power = expected + power, power * image
+    count = _count_products(monkeypatch, n + 2)
+    assert p.subs({0: image}) == expected
+    assert count[0] <= n + 2
+
+
+def test_high_d_oracles_in_bounded_products(monkeypatch):
+    # the d + 4 probes, and the images in the group law, share one power
+    # table per substituted generator
+    c = classify(build_fan(example_fan("f:32")))
+    action = c.non_normalized_action
+    count = _count_products(monkeypatch, 80)
+    report = annihilator_profile(action, c.family)
+    assert count[0] <= 80
+    assert classify_profile(report) == ActionClass.NON_NORMALIZED
+    monkeypatch.undo()
+    count = _count_products(monkeypatch, 220)
+    assert check_group_law(action)
+    assert count[0] <= 220
+
+
+def test_substitute_matches_evaluation_at_seeded_points():
+    # independent route: p(m(x)) at v is p at the point v' with v'_i the
+    # value of m[i] at v
+    rng = random.Random(16)
+
+    def moved_point(mapping, v):
+        return [mapping[i].eval(v) if i in mapping else c
+                for i, c in enumerate(v)]
+
+    sparse = Poly(R3, {(k, 1, 0, 0, 0, 0, 0): k - 3 for k in (0, 1, 7, 9000)})
+    cases = [((sparse,), {0: _p("-2/3*x2*s1")}),
+             ((sparse,), {0: _p("x1"), 1: _p("x2 + s2")}),
+             ((sparse, _p("x1^7 + x1*x2"), _p("x2^2 - 1")),
+              {0: _p("3*x3*r2"), 1: _p("x2"), 3: _p("s1 - r1")})]
+    for _ in range(60):
+        polys = tuple(_random_poly(rng, R3) for _ in range(rng.randint(1, 4)))
+        mapping = {i: Poly.var(R3, i) if rng.random() < 0.3
+                   else _random_poly(rng, R3)
+                   for i in rng.sample(range(R3.nvars), rng.randint(1, 4))}
+        cases.append((polys, mapping))
+    for polys, mapping in cases:
+        together = substitute(polys, mapping)
+        assert len(together) == len(polys)
+        for p, q in zip(polys, together):
+            assert q == p.subs(mapping)
+            for _ in range(3):
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(R3.nvars)]
+                assert q.eval(v) == p.eval(moved_point(mapping, v))
 
 
 def test_poly_diff():
