@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Callable, Mapping, Sequence
 
@@ -30,7 +31,7 @@ from .errors import (
     VariableMismatch,
     ZeroTorusEntry,
 )
-from .lattice import CharVec, LatticeVec, fraction_solve, pairing, vneg
+from .lattice import CharVec, LatticeVec, pairing, vneg
 
 
 @dataclass(frozen=True)
@@ -748,13 +749,16 @@ class NormalFormResult:
 def normal_form(mu: Sequence, family: LndFamily) -> NormalFormResult:
     """Conjugation parameters bringing delta + sum mu_k partials[k] to normal form.
 
-    Solves for eta_1..eta_d such that exp(ad Z) with
+    Finds eta_1..eta_d such that exp(ad Z) with
     Z = delta + sum_k eta_k partials[k] maps the given generator to
-    delta + mu_d partials[d] while fixing partials[0].  exp(ad Z) is
-    affine in eta because every bracket with Z lands in the span of the
-    partials, which is abelian; the system read off at eta = 0 and at each
-    unit vector is triangular, is solved exactly, and the answer is
-    re-verified by conjugating with the solved Z.
+    delta + mu_d partials[d] while fixing partials[0].  Write partials[k]
+    as t^k: the bracket table [delta, partials[k]] = k*partials[k-1] makes
+    ad delta act as d/dt on the span of the partials, which is abelian, so
+    ad Z acts as d/dt there too and [Z, delta + mu(t)] = mu' - eta'.  Then
+    exp(ad Z)(delta + mu(t)) = delta + mu(t+1) - eta(t+1) + eta(t), by
+    Taylor's formula.  So eta is the unique polynomial with eta(0) = 0 and
+    eta(t+1) - eta(t) = mu(t+1) - mu_d t^d, solved from the top
+    coefficient down; the answer is re-verified by conjugating with Z.
     """
     d = family.d
     if d == 0:
@@ -772,38 +776,13 @@ def normal_form(mu: Sequence, family: LndFamily) -> NormalFormResult:
         gen = gen + parts[k].scale(coeffs[k])
     target = delta + parts[d].scale(coeffs[d])
 
-    # exp(ad Z)(gen) with Z = delta + sum eta_k parts[k] is affine in eta:
-    # a constant part plus one derivation coefficient per unknown eta_k.
-    sum_const = exp_ad(delta, gen)
-    sum_eta = [exp_ad(delta + parts[k + 1], gen) - sum_const
-               for k in range(d)]
-
-    i1, i2 = family.basis.basis_indices
-    if sum_const.entries[i1] != target.entries[i1]:
-        raise InternalInconsistency(
-            "conjugation must not disturb the first basis coordinate")
-    for e in sum_eta:
-        if not e.entries[i1].is_zero:
-            raise InternalInconsistency(
-                "eta coefficients must not touch the first basis coordinate")
-
-    # linear system over the monomials of the second basis entry
-    monos: list[tuple[int, ...]] = sorted(
-        set(sum_const.entries[i2].terms)
-        | {m for e in sum_eta for m in e.entries[i2].terms}
-        | set(target.entries[i2].terms))
-    rows = []
-    rhs = []
-    for mono in monos:
-        rows.append([e.entries[i2].terms.get(mono, Fraction(0))
-                     for e in sum_eta])
-        rhs.append(target.entries[i2].terms.get(mono, Fraction(0))
-                   - sum_const.entries[i2].terms.get(mono, Fraction(0)))
-    solution = fraction_solve(rows, rhs)
-    if solution is None:
-        raise InternalInconsistency(
-            "normal form system must have a unique exact solution")
-    eta = tuple(solution)
+    # coefficient of t^j: sum_{k > j} C(k, j) (eta_k - mu_k) = mu_j
+    full = [Fraction(0)] * (d + 1)
+    for j in range(d - 1, -1, -1):
+        rest = coeffs[j] - sum(comb(k, j) * (full[k] - coeffs[k])
+                               for k in range(j + 2, d + 1))
+        full[j + 1] = coeffs[j + 1] + rest / (j + 1)
+    eta = tuple(full[1:])
 
     z = delta
     for k in range(d):

@@ -4,13 +4,12 @@ Vectors are plain tuples of Python ints.  ``LatticeVec`` lives in N (the
 lattice of one-parameter subgroups), ``CharVec`` in the dual M (characters);
 the two are linked only through :func:`pairing`, and :func:`int_rays` is the
 one gate for ray input.  Dual bases are the closed-form 2x2 inverse; the
-only elimination is the fraction-free :func:`_bareiss`.  No floating point
-is used anywhere.
+only elimination is the fraction-free determinant :func:`mat_det`.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -128,42 +127,6 @@ def solve_pairing_line(p: LatticeVec, c: int) -> tuple[CharVec, CharVec]:
     return e0, q
 
 
-def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan on the first ncols columns of a, in place.
-
-    Bareiss's integer-preserving update: every entry stays an integer minor
-    of the input, so every division is exact.  Returns the pivot columns and
-    the sign of the row swaps.  Pivot row k ends with the last pivot D in
-    column pivots[k] and 0 in the other pivot columns; for a square matrix
-    of full rank, sign * D is its determinant.
-    """
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        k = len(pivots)
-        if k == len(a):
-            break
-        if a[k][col] == 0:
-            for i in range(k + 1, len(a)):
-                if a[i][col] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                continue
-        prow = a[k]
-        p = prow[col]
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[col]
-                for j in range(len(row)):
-                    row[j] = (row[j] * p - f * prow[j]) // prev
-        prev = p
-        pivots.append(col)
-    return pivots, sign
-
-
 def integer_row(row) -> list[int]:
     """An int or Fraction row times the positive lcm of its denominators."""
     den = lcm(*(x.denominator for x in row))
@@ -171,15 +134,35 @@ def integer_row(row) -> list[int]:
 
 
 def mat_det(rows: list[LatticeVec]) -> int:
-    """Integer determinant via fraction-free Bareiss elimination."""
+    """Integer determinant by fraction-free (Bareiss) forward elimination.
+
+    After step k each entry a[i][j] with i, j > k is the minor of the
+    row-swapped input on rows 0..k, i and columns 0..k, j, so every division
+    by the previous pivot is exact; the last pivot, signed by the row swaps,
+    is the determinant.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise LengthMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
     a = [list(r) for r in rows]
-    pivots, sign = _bareiss(a, n)
-    return sign * a[0][0] if len(pivots) == n else 0
+    sign = prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        prow = a[k]
+        p = prow[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+        prev = p
+    return sign * prev
 
 
 def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, CharVec]:
@@ -195,20 +178,3 @@ def unimodular_duals(rows: list[LatticeVec]) -> tuple[CharVec, CharVec]:
         raise NotABasis(f"determinant {d} is not a unit")
     # the inverse of [[p0, p1], [q0, q1]] is its adjugate times d = 1/d
     return (d * q[1], -d * q[0]), (-d * p[1], d * p[0])
-
-
-def fraction_solve(rows: list[list], rhs: list) -> list | None:
-    """Unique exact solution of rows * x = rhs, or None.
-
-    Returns None when the system is inconsistent or the solution is not
-    unique; the system may be overdetermined.  Entries are ints or
-    Fractions; each equation is cleared of denominators and [rows | rhs]
-    is eliminated once, so the only divisions are the last, one per unknown.
-    """
-    a = [integer_row([*r, b]) for r, b in zip(rows, rhs)]
-    nunk = len(rows[0]) if rows else 0
-    if len(_bareiss(a, nunk)[0]) != nunk:
-        return None
-    if any(a[i][nunk] != 0 for i in range(nunk, len(a))):
-        return None
-    return [Fraction(a[i][nunk], a[i][i]) for i in range(nunk)]

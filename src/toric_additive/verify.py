@@ -31,9 +31,12 @@ from .coxring import (
     LndFamily,
     Poly,
     _exact,
+    commutator,
     compose,
     degree_of,
+    lnd_from_root,
     substitute,
+    zero_derivation,
 )
 from .errors import (
     Inconclusive,
@@ -125,8 +128,6 @@ def check_collections_bases_bijection(fan: Fan2) -> bool:
 
 def check_bracket_table(family: LndFamily) -> bool:
     """[delta, partials[k]] = k*partials[k-1]; the partials commute."""
-    from .coxring import commutator, zero_derivation
-
     zero = zero_derivation(family.ring)
     for k, part in enumerate(family.partials):
         got = commutator(family.delta, part)
@@ -182,8 +183,6 @@ def check_grading_relations(basis, grading: ClGrading) -> bool:
 
 def check_root_lnd_degree_zero(c: Classification) -> bool:
     """Every Demazure root's derivation preserves the class group grading."""
-    from .coxring import lnd_from_root
-
     assert c.family is not None and c.root_system is not None
     grading = c.family.grading
     for i, per in enumerate(c.root_system.per_ray):
@@ -292,7 +291,7 @@ def _stabilizer(action: ActionMap, f: Poly, moved: Poly,
             # t must cancel for h to vanish along the whole line
             by_deg: dict[int, Fraction] = {}
             for (e1, e2), c in h.items():
-                val = c * Fraction(v1) ** e1 * Fraction(v2) ** e2
+                val = c * v1 ** e1 * v2 ** e2
                 by_deg[e1 + e2] = by_deg.get(e1 + e2, Fraction(0)) + val
             if any(by_deg.values()):
                 ok = False

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from toric_additive import coxring
 from toric_additive.additive import (
     classify,
     classify_rays,
@@ -585,7 +586,7 @@ def test_normal_form_binomial_oracle():
     families = [build_lnd_family(find_admissible_basis(example_fan(name)), d)
                 for name, d in (("p2", 1), ("p112", 2), ("p113", 3))]
     families += [classify_rays(example_fan(name)).family
-                 for name in ("f:5", "f:8")]
+                 for name in ("f:5", "f:8", "f:62")]
     for family in families:
         d = family.d
         for _ in range(10):
@@ -611,6 +612,23 @@ def test_normal_form_solution_is_unique():
             c = res.eta[j] + (1 if j == k else 0)
             bumped = bumped + family.partials[j + 1].scale(c)
         assert exp_ad(bumped, gen) != res.target
+
+
+def test_normal_form_makes_two_exp_ad_calls(monkeypatch):
+    # eta comes from the bracket table in closed form; exp(ad Z) runs only
+    # to re-verify the answer: once on the generator, once on partials[0]
+    calls = []
+
+    def counted(z, d):
+        calls.append(d)
+        return exp_ad(z, d)
+
+    monkeypatch.setattr(coxring, "exp_ad", counted)
+    family = classify_rays(example_fan("f:32")).family
+    mu = [Fraction(k % 5 - 2, k % 3 + 1) for k in range(32)] + [1]
+    res = normal_form(mu, family)
+    assert len(calls) == 2
+    assert res.conjugated == res.target
 
 
 def test_normal_form_rejects():
