@@ -1,9 +1,12 @@
 """Exact Cox-coordinate algebra: polynomials, derivations, group actions.
 
-All arithmetic is over Q via fractions.Fraction; nothing here touches
-floating point.  The central objects are the locally nilpotent derivations
-attached to Demazure roots and the polynomial automorphisms obtained by
-exponentiating commuting pairs of them.
+All arithmetic is exact over Q and nothing here touches floating point.
+A polynomial keeps integer numerators over one positive denominator, so
+its sums, products and substitutions run on ints; ``fractions.Fraction``
+appears only where single coefficients and values cross the API.  The
+central objects are the locally nilpotent derivations attached to Demazure
+roots and the polynomial automorphisms obtained by exponentiating
+commuting pairs of them.
 
 A polynomial ring for a fan with m rays carries generators
 x1, ..., xm, s1, s2, r1, r2: the x's are Cox coordinates, s1/s2 are the
@@ -16,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
 from typing import Callable, Mapping, Sequence
 
@@ -67,9 +70,20 @@ def action_ring(m: int) -> PolyRing:
 
 
 class Poly:
-    """Multivariate polynomial: exponent tuple -> nonzero Fraction."""
+    """Multivariate polynomial over Q: integer numerators over one denominator.
 
-    __slots__ = ("ring", "terms")
+    ``num`` maps exponent tuples to nonzero ints and ``den`` is a positive
+    int; the coefficient of x^e is num[e] / den.  The form is canonical:
+    gcd(den, *num.values()) == 1, and the zero polynomial has den == 1, so
+    two polynomials are equal exactly when their rings, ``den`` and ``num``
+    are.  A Poly is never changed once built, so results may share ``num``.
+
+    ``terms`` is the exact view, exponent tuple -> nonzero Fraction, built
+    afresh on each read: changing the dict it returns leaves the Poly as it
+    was.
+    """
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing,
                  terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
@@ -87,11 +101,17 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise NegativeExponent(f"negative exponent in {exps}")
                 clean[exps] = c
-        self.terms = clean
+        # over the lcm of the reduced denominators the form is canonical:
+        # for each prime q | den, the coefficient whose denominator holds
+        # q's top power keeps a numerator prime to q
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.num = {e: c.numerator * (den // c.denominator)
+                    for e, c in clean.items()}
+        self.den = den
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "Poly":
-        return cls(ring)
+        return _reduced(ring, {}, 1)
 
     @classmethod
     def const(cls, ring: PolyRing, c) -> "Poly":
@@ -108,8 +128,13 @@ class Poly:
         return cls(ring, {tuple(exps): c})
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def _check_ring(self, other: "Poly") -> None:
         if self.ring != other.ring:
@@ -117,22 +142,23 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        num = (dict(self.num) if ka == 1
+               else {e: c * ka for e, c in self.num.items()})
+        get = num.get
+        for e, c in other.num.items():
+            acc = get(e, 0) + c * kb
             if acc:
-                terms[e] = acc
+                num[e] = acc
             else:
-                terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = terms
-        return out
+                del num[e]
+        return _reduced(self.ring, num, den)
 
     def __neg__(self) -> "Poly":
         out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
+        out.ring, out.den = self.ring, self.den
+        out.num = {e: -c for e, c in self.num.items()}
         return out
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -141,22 +167,21 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = _exact(other)
-            out = Poly.__new__(Poly)
-            out.ring = self.ring
-            out.terms = {} if not c else {e: k * c for e, k in self.terms.items()}
-            return out
+            if not c:
+                return Poly.zero(self.ring)
+            k = c.numerator
+            return _reduced(self.ring, {e: a * k for e, a in self.num.items()},
+                            self.den * c.denominator)
         self._check_ring(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num: dict[tuple[int, ...], int] = {}
+        get = num.get
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(map(add, e1, e2))
                 acc = get(e)
-                terms[e] = c1 * c2 if acc is None else acc + c1 * c2
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+                num[e] = c1 * c2 if acc is None else acc + c1 * c2
+        return _reduced(self.ring, {e: c for e, c in num.items() if c},
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -175,21 +200,19 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring and self.den == other.den
+                and self.num == other.num)
 
     __hash__ = None  # type: ignore[assignment]
 
     def diff(self, i: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
+        num: dict[tuple[int, ...], int] = {}
+        for e, c in self.num.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
-                terms[tuple(e2)] = c * e[i]
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = terms
-        return out
+                num[tuple(e2)] = c * e[i]
+        return _reduced(self.ring, num, self.den)
 
     def subs(self, mapping: Mapping[int, "Poly"]) -> "Poly":
         """Simultaneous substitution of generators by polynomials."""
@@ -200,19 +223,32 @@ class Poly:
             raise VariableMismatch("need one value per generator")
         vals = [_exact(v) for v in values]
         total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
+        for e, c in self.num.items():
+            prod = Fraction(c)
             for v, k in zip(vals, e):
                 if k:
                     prod *= v ** k
             total += prod
-        return total
+        return total / self.den
 
     def __str__(self) -> str:
         return poly_str(self)
 
     def __repr__(self) -> str:
         return f"Poly({poly_str(self)})"
+
+
+def _reduced(ring: PolyRing, num: dict[tuple[int, ...], int],
+             den: int) -> Poly:
+    """The canonical Poly num / den, for nonzero int numerators and den >= 1."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    out = Poly.__new__(Poly)
+    out.ring, out.num, out.den = ring, num, den
+    return out
 
 
 def substitute(polys: Sequence[Poly],
@@ -228,44 +264,53 @@ def substitute(polys: Sequence[Poly],
             p._check_ring(img)
     # an identity image x_i -> x_i leaves every power of x_i in place
     mapping = {i: img for i, img in mapping.items()
-               if len(img.terms) != 1 or not all(
-                   c == 1 and sum(e) == e[i] == 1
-                   for e, c in img.terms.items())}
+               if img != Poly.var(img.ring, i)}
     powers: dict[int, dict[int, Poly]] = {i: {} for i in mapping}
     for i, table in powers.items():
         last, prev = 0, None
-        for k in sorted({e[i] for p in polys for e in p.terms if e[i]}):
+        for k in sorted({e[i] for p in polys for e in p.num if e[i]}):
             step = mapping[i] if k == last + 1 else mapping[i] ** (k - last)
             prev = table[k] = step if prev is None else prev * step
             last = k
-    zero, out = Fraction(0), []
+    out = []
     for p in polys:
-        # every term's image goes into one dict; zeros are dropped once
-        terms: dict[tuple[int, ...], Fraction] = {}
-        get, unit = terms.get, Poly.const(p.ring, 1)
-        for e, c in p.terms.items():
-            factor = unit
+        # each term's image is its numerator times a product of powers,
+        # with the exponents of the generators left in place
+        images = []
+        for e, c in p.num.items():
+            factor = None
             for i, table in powers.items():
                 if e[i]:
-                    factor = (table[e[i]] if factor is unit
+                    factor = (table[e[i]] if factor is None
                               else factor * table[e[i]])
             rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
-            for f, k in factor.terms.items():
+            images.append((c, rest, factor))
+        # every factor goes over the one lcm of their denominators, and
+        # every term's image into one dict; zeros are dropped once
+        den = lcm(*(f.den for _, _, f in images if f is not None))
+        num: dict[tuple[int, ...], int] = {}
+        get = num.get
+        for c, rest, factor in images:
+            if factor is None:
+                num[rest] = get(rest, 0) + c * den
+                continue
+            c *= den // factor.den
+            for f, k in factor.num.items():
                 f = tuple(map(add, f, rest))
-                terms[f] = get(f, zero) + c * k
-        q = Poly.__new__(Poly)
-        q.ring, q.terms = p.ring, {e: c for e, c in terms.items() if c}
-        out.append(q)
+                num[f] = get(f, 0) + c * k
+        out.append(_reduced(p.ring, {e: c for e, c in num.items() if c},
+                            p.den * den))
     return tuple(out)
 
 
 def poly_str(p: Poly) -> str:
     """Canonical rendering: terms by ascending total degree, then exponents."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     pieces: list[tuple[str, str]] = []
-    for exps in sorted(p.terms, key=lambda e: (sum(e), e)):
-        c = p.terms[exps]
+    for exps in sorted(terms, key=lambda e: (sum(e), e)):
+        c = terms[exps]
         mono = "*".join(
             name if k == 1 else f"{name}^{k}"
             for name, k in zip(p.ring.names, exps) if k)
@@ -421,7 +466,7 @@ class Derivation:
             raise VariableMismatch("argument outside the derivation's ring")
         out = Poly.zero(self.ring)
         # p.diff(i) is zero unless some term of p contains x_i
-        for i, occurs in enumerate(map(any, zip(*p.terms))):
+        for i, occurs in enumerate(map(any, zip(*p.num))):
             if occurs and not self.entries[i].is_zero:
                 out = out + self.entries[i] * p.diff(i)
         return out
@@ -470,7 +515,7 @@ def commutator(a: Derivation, b: Derivation) -> Derivation:
         raise VariableMismatch("derivations live in different rings")
     # a.apply(x_i) is a.entries[i], so [a, b](x_i) needs no apply on x_i,
     # and it is zero when a_i and b_i both are
-    entries = [a.apply(bi) - b.apply(ai) if ai.terms or bi.terms else ai
+    entries = [a.apply(bi) - b.apply(ai) if ai.num or bi.num else ai
                for ai, bi in zip(a.entries, b.entries)]
     char = None
     if a.char is not None and b.char is not None and any(
@@ -482,16 +527,24 @@ def commutator(a: Derivation, b: Derivation) -> Derivation:
 _MAX_STEPS = 64
 
 
+def _over(t, k: int):
+    """t / k for a Poly or Derivation t and an int k >= 1: den times k."""
+    if isinstance(t, Derivation):
+        return Derivation(t.ring, tuple(_over(p, k) for p in t.entries),
+                          char=t.char)
+    return _reduced(t.ring, t.num, t.den * k)
+
+
 def _exp_series(x, op, what: Callable[[], str]):
     """x + op(x) + op(op(x))/2! + ..., summed up to the first zero term.
 
-    ``op(t, c)`` returns c * op(t) for a Poly or Derivation t.  A series
+    ``op`` maps a Poly or Derivation to one of the same kind.  A series
     with no zero term within _MAX_STEPS raises NotLocallyNilpotent, whose
     message starts with ``what()``.
     """
     acc = cur = x
     for step in range(1, _MAX_STEPS + 1):
-        cur = op(cur, Fraction(1, step))
+        cur = _over(op(cur), step)
         if cur.is_zero:
             return acc
         acc = acc + cur
@@ -501,7 +554,7 @@ def _exp_series(x, op, what: Callable[[], str]):
 
 def exp_ad(z: Derivation, d: Derivation) -> Derivation:
     """exp(ad z) applied to d: d + [z,d] + [z,[z,d]]/2 + ..."""
-    return _exp_series(d, lambda t, c: commutator(z, t).scale(c),
+    return _exp_series(d, lambda t: commutator(z, t),
                        lambda: f"iterated bracket with {derivation_str(z)}")
 
 
@@ -545,7 +598,7 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     flow = Derivation(ring, tuple(a * s1 + b * s2
                                   for a, b in zip(d1.entries, d2.entries)))
     images = tuple(
-        _exp_series(Poly.var(ring, i), lambda p, c: flow.apply(p) * c,
+        _exp_series(Poly.var(ring, i), flow.apply,
                     lambda: f"flow of {ring.names[i]}")
         for i in range(ring.index("s1")))
     return ActionMap(ring=ring, images=images)
@@ -611,7 +664,7 @@ def degree_of(grading: ClGrading, p: Poly) -> tuple[int, ...] | None:
     m = len(grading.degrees)
     deg: tuple[int, ...] | None = None
     witness: tuple[int, ...] | None = None
-    for exps in sorted(p.terms):
+    for exps in sorted(p.num):
         cur = [0] * (len(grading.degrees[0]) if m else 0)
         for i in range(m):
             if exps[i]:

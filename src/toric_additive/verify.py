@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .additive import (
@@ -263,25 +264,31 @@ def _stabilizer(action: ActionMap, f: Poly, moved: Poly,
     """Classify {s : f(action_s(x)) = f(x)} as full, a line, or trivial,
     given ``moved`` = f(action_s(x))."""
     ring = action.ring
-    g = moved - f
     js1, js2 = ring.index("s1"), ring.index("s2")
+    # moved - f times the lcm of their denominators: the same zeros, in ints
+    den = lcm(moved.den, f.den)
+    g = {e: c * (den // moved.den) for e, c in moved.num.items()}
+    k = den // f.den
+    for e, c in f.num.items():
+        g[e] = g.get(e, 0) - c * k
     # coefficient of each x-monomial, as a polynomial in (s1, s2)
-    system: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
-    for exps, c in g.terms.items():
+    system: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for exps, c in g.items():
+        if not c:
+            continue
         if any(exps[j] for j in range(m, ring.nvars) if j not in (js1, js2)):
             raise InternalInconsistency("difference involves spare parameters")
-        key = exps[:m]
-        system.setdefault(key, {})[(exps[js1], exps[js2])] = c
-    polys = [h for h in system.values() if h]
-    if not polys:
+        system.setdefault(exps[:m], {})[(exps[js1], exps[js2])] = c
+    if not system:
         return "full", None
+    polys = list(system.values())
     candidates = {(1, 0), (0, 1)}
     for h in polys:
-        a = h.get((1, 0), Fraction(0))
-        b = h.get((0, 1), Fraction(0))
+        a = h.get((1, 0), 0)
+        b = h.get((0, 1), 0)
         if a or b:
             # solutions of a*s1 + b*s2 = 0 run along (b, -a)
-            w, _ = primitive(integer_row((b, -a)))
+            w, _ = primitive((b, -a))
             candidates.add(vneg(w) if w < (0, 0) else w)
     verified = []
     for v1, v2 in sorted(candidates):
@@ -289,10 +296,10 @@ def _stabilizer(action: ActionMap, f: Poly, moved: Poly,
         for h in polys:
             # restrict to s = t*(v1, v2): the coefficient of each power of
             # t must cancel for h to vanish along the whole line
-            by_deg: dict[int, Fraction] = {}
+            by_deg: dict[int, int] = {}
             for (e1, e2), c in h.items():
                 val = c * v1 ** e1 * v2 ** e2
-                by_deg[e1 + e2] = by_deg.get(e1 + e2, Fraction(0)) + val
+                by_deg[e1 + e2] = by_deg.get(e1 + e2, 0) + val
             if any(by_deg.values()):
                 ok = False
                 break

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -257,6 +257,145 @@ def test_poly_str_parse_round_trip():
     for _ in range(120):
         p = _random_poly(rng, R3)
         assert parse_poly(R3, poly_str(p)) == p
+
+
+# Reference arithmetic on exponent tuple -> Fraction dicts, restated here so
+# the integer-numerator kernel is checked against an independent route.
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def _ref_subs(a, mapping, nvars):
+    out = {}
+    for e, c in a.items():
+        term = {tuple(0 if i in mapping else k for i, k in enumerate(e)): c}
+        for i, img in mapping.items():
+            term = _ref_mul(term, _ref_pow(img, e[i], nvars))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_eval(a, vals):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(vals, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
+
+
+def _assert_kernel(p, ref):
+    assert p.terms == ref
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(c) is int and c for c in p.num.values())
+    assert type(p.den) is int and p.den >= 1
+    assert gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+    assert Poly(p.ring, p.terms) == p
+    assert parse_poly(p.ring, poly_str(p)) == p
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(18)
+
+    def random_poly():
+        # one poly in three has a shared denominator > 1, one in three is
+        # integral, and one mixes denominators term by term
+        kind = rng.randrange(3)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exps = tuple(rng.randint(0, 2) if rng.random() < 0.4 else 0
+                         for _ in range(R3.nvars))
+            den = (1, 6, rng.randint(1, 9))[kind]
+            terms[exps] = Fraction(rng.randint(-9, 9), den)
+        return Poly(R3, terms), {e: c for e, c in terms.items() if c}
+
+    def scalar():
+        return rng.choice([rng.randint(-4, 4),
+                           Fraction(rng.randint(-4, 4), rng.randint(1, 6))])
+
+    for _ in range(150):
+        (a, ra), (b, rb) = random_poly(), random_poly()
+        _assert_kernel(a, ra)
+        _assert_kernel(a + b, _ref_add(ra, rb))
+        _assert_kernel(-a, {e: -c for e, c in ra.items()})
+        _assert_kernel(a - b, _ref_add(ra, {e: -c for e, c in rb.items()}))
+        _assert_kernel(a - a, {})
+        _assert_kernel(a * b, _ref_mul(ra, rb))
+        k = scalar()
+        scaled = {e: c * k for e, c in ra.items() if k}
+        _assert_kernel(a * k, scaled)
+        _assert_kernel(k * a, scaled)
+        n = rng.randint(0, 4)
+        _assert_kernel(a ** n, _ref_pow(ra, n, R3.nvars))
+        i = rng.randrange(R3.nvars)
+        _assert_kernel(a.diff(i), _ref_diff(ra, i))
+        mapping, ref_mapping = {}, {}
+        for i in rng.sample(range(R3.nvars), rng.randint(1, 3)):
+            # some images are the identity x_i -> x_i
+            if rng.random() < 0.3:
+                mapping[i] = Poly.var(R3, i)
+                ref_mapping[i] = {tuple(int(j == i) for j in range(R3.nvars)):
+                                  Fraction(1)}
+            else:
+                mapping[i], ref_mapping[i] = random_poly()
+        _assert_kernel(a.subs(mapping), _ref_subs(ra, ref_mapping, R3.nvars))
+        vals = [scalar() for _ in range(R3.nvars)]
+        assert a.eval(vals) == _ref_eval(ra, vals)
+        assert type(a.eval(vals)) is Fraction
+
+
+def test_coefficients_and_values_are_fractions():
+    # every coefficient and value that leaves the kernel is a Fraction,
+    # also when every input is an int
+    e = (1, 0, 2, 0, 0, 0, 0)
+    polys = [Poly(R3, {e: 3}), Poly.const(R3, 2), Poly.var(R3, 1),
+             Poly.monomial(R3, e, 4), _p("x1 + 2*x2 - 3"), _p("4/2*x1"),
+             Poly.var(R3, 0) * 2, Poly.var(R3, 0).diff(0), _p("1/2*x1") * 2]
+    fam = classify(build_fan(example_fan("p112"))).family
+    for act in emit_actions(fam):
+        polys.extend(act.images)
+    for p in polys:
+        assert p.terms and all(type(c) is Fraction for c in p.terms.values())
+        assert type(p.eval([1, 2, 3, 4, 5, 6, 7])) is Fraction
+    assert type(Poly.zero(R3).eval([1] * R3.nvars)) is Fraction
+    assert type(TorusChar((1, -1, 2)).value_at((2, 3, 5))) is Fraction
+    assert type(TorusChar((1, 0)).value_at((2, 3))) is Fraction
+    for mu in ((5, 7, 3), (0, 0, 1), (1, 2, Fraction(1, 3))):
+        eta = normal_form(mu, fam).eta
+        assert eta and all(type(c) is Fraction for c in eta)
+    # terms is a fresh view: changing it leaves the polynomial alone
+    p = _p("x1 - 1/3*x2")
+    view = p.terms
+    view[e] = Fraction(5)
+    view.clear()
+    assert p == _p("x1 - 1/3*x2")
+    assert p.terms == {(1, 0, 0, 0, 0, 0, 0): 1,
+                       (0, 1, 0, 0, 0, 0, 0): Fraction(-1, 3)}
 
 
 def test_parse_rejects_garbage():

@@ -250,6 +250,18 @@ def test_annihilator_profile_p2():
     assert classify_profile(rep) is ActionClass.NON_NORMALIZED
 
 
+def test_annihilator_lines_over_mixed_denominators():
+    # x2 moves to x2 + (s1 - s2)/3 * x3: the moved probe has denominator 3
+    # and x2 has 1, and only over one denominator does x2 cancel on s1 = s2
+    c = _p2_actions()
+    ring = c.family.ring
+    images = tuple(parse_poly(ring, text) for text in
+                   ("x1", "x2 + 1/3*x3*s1 - 1/3*x3*s2", "x3"))
+    rep = annihilator_profile(ActionMap(ring=ring, images=images), c.family)
+    assert rep.lines == ((1, 1),)
+    assert rep.full_labels == ("M0", "M1")
+
+
 def test_classify_profile_inconclusive():
     with pytest.raises(Inconclusive):
         classify_profile(AnnihilatorReport(probes=(), lines=(),
