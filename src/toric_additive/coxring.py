@@ -453,9 +453,10 @@ class Derivation:
     def __post_init__(self) -> None:
         if len(self.entries) != self.ring.nvars:
             raise VariableMismatch("need one entry per generator")
-        for p in self.entries:
-            if p.ring != self.ring:
-                raise VariableMismatch("entry outside the derivation's ring")
+        ring = self.ring
+        # entries built by Poly arithmetic share the ring object itself
+        if any(p.ring is not ring and p.ring != ring for p in self.entries):
+            raise VariableMismatch("entry outside the derivation's ring")
 
     @property
     def is_zero(self) -> bool:
@@ -488,10 +489,6 @@ class Derivation:
     def scale(self, c: int | Fraction) -> "Derivation":
         return Derivation(self.ring, tuple(p * c for p in self.entries),
                           char=self.char)
-
-
-def zero_derivation(ring: PolyRing) -> Derivation:
-    return Derivation(ring, tuple(Poly.zero(ring) for _ in range(ring.nvars)))
 
 
 def derivation(ring: PolyRing, images: Mapping[int, Poly],

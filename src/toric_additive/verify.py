@@ -4,10 +4,12 @@ Each check here recomputes a result by a route different from the one the
 main modules take: roots by scanning each ray's line <p_i, e> = -1 point
 by point across a box instead of by interval arithmetic, and by testing
 each root against every ray where the enumeration reads only two
-neighbours; the group law by actual composition of polynomial maps, open
-orbits by a nonzero m x m determinant at rational points, and the two
-isomorphism classes by an invariant (annihilator lines of degree-component
-elements) that does not look at how the actions were produced.
+neighbours; the bracket table by two brackets of graded sums over fresh
+variables, instead of bracketing each pair of derivations; the group law by
+actual composition of polynomial maps, open orbits by a nonzero m x m
+determinant at rational points, and the two isomorphism classes by an
+invariant (annihilator lines of degree-component elements) that does not
+look at how the actions were produced.
 """
 
 from __future__ import annotations
@@ -31,17 +33,19 @@ from .coxring import (
     Derivation,
     LndFamily,
     Poly,
+    PolyRing,
     _exact,
+    _reduced,
     commutator,
     compose,
     degree_of,
     lnd_from_root,
     substitute,
-    zero_derivation,
 )
 from .errors import (
     Inconclusive,
     InternalInconsistency,
+    LengthMismatch,
     NotApplicable,
     NotHomogeneous,
     ZeroCoordinate,
@@ -127,19 +131,63 @@ def check_collections_bases_bijection(fan: Fan2) -> bool:
             and len(coll_sets) == len(colls))
 
 
+def _graded_sum(ring: PolyRing,
+                terms: Sequence[tuple[int, tuple[int, int], Derivation]]
+                ) -> Derivation:
+    """The sum of c * t^a * u^b * D over the (c, (a, b), D) in ``terms``.
+
+    ``ring`` is D's ring with the fresh generators t, u appended, each c is
+    a nonzero int and the (a, b) are distinct.  Entry i collects the i-th
+    entries of the D's, their exponents padded with (a, b) and their
+    numerators brought over one lcm denominator; as the (a, b) differ, no
+    two terms land on the same monomial.
+    """
+    by_entry: dict[int, list[tuple[int, tuple[int, int], Poly]]] = {}
+    for c, pad, D in terms:
+        for i, p in enumerate(D.entries):
+            if p.num:
+                by_entry.setdefault(i, []).append((c, pad, p))
+    entries = [Poly.zero(ring)] * ring.nvars
+    for i, parts in by_entry.items():
+        den = lcm(*(p.den for _, _, p in parts))
+        num = {}
+        for c, pad, p in parts:
+            k = c * (den // p.den)
+            for e, a in p.num.items():
+                num[e + pad] = a * k
+        entries[i] = _reduced(ring, num, den)
+    return Derivation(ring, tuple(entries))
+
+
 def check_bracket_table(family: LndFamily) -> bool:
-    """[delta, partials[k]] = k*partials[k-1]; the partials commute."""
-    zero = zero_derivation(family.ring)
-    for k, part in enumerate(family.partials):
-        got = commutator(family.delta, part)
-        expected = zero if k == 0 else family.partials[k - 1].scale(k)
-        if got != expected:
-            return False
-    for k in range(len(family.partials)):
-        for l in range(k + 1, len(family.partials)):
-            if not commutator(family.partials[k], family.partials[l]).is_zero:
-                return False
-    return True
+    """[delta, partials[k]] = k*partials[k-1]; the partials commute.
+
+    Checked with two brackets instead of d + 1 + d(d+1)/2 pairwise ones.
+    Append fresh generators t, u to the ring and form the graded sums
+    P(t) = sum_k t^k partials[k], P(u) = sum_l u^l partials[l] and
+    W = sum_{k>=1} k t^k partials[k-1].  Then
+
+        [delta, P(t)] == W   and   [P(t), P(u)] == 0
+
+    hold exactly when the pairwise table does.  Proof: t and u are fresh,
+    so no derivation of the family moves them or contains them; hence
+    [t^k A, u^l B] = t^k u^l [A, B] for any two of them, and
+    [delta, P(t)] = sum_k t^k [delta, partials[k]],
+    [P(t), P(u)] = sum_{k,l} t^k u^l [partials[k], partials[l]].
+    Different (k, l) give disjoint monomials, so each sum equals W, or
+    zero, exactly when each of its t^k (or t^k u^l) coefficients does:
+    that is each pairwise identity, [partials[k], partials[l]] = 0 for
+    k < l following from antisymmetry.  The sums carry no ``char`` tag, so
+    derivations are compared as maps, by their entries.
+    """
+    ring = PolyRing(family.ring.names + ("t", "u"))
+    parts = family.partials
+    delta = _graded_sum(ring, [(1, (0, 0), family.delta)])
+    p_t = _graded_sum(ring, [(1, (k, 0), p) for k, p in enumerate(parts)])
+    p_u = _graded_sum(ring, [(1, (0, k), p) for k, p in enumerate(parts)])
+    w = _graded_sum(ring, [(k, (k, 0), p)
+                           for k, p in enumerate(parts[:-1], start=1)])
+    return commutator(delta, p_t) == w and commutator(p_t, p_u).is_zero
 
 
 def check_identity_at_zero(action: ActionMap) -> bool:
@@ -219,7 +267,7 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
     if point is not None:
         pt = [_exact(c) for c in point]
         if len(pt) != m:
-            raise ZeroCoordinate(f"need {m} coordinates, got {len(pt)}")
+            raise LengthMismatch(f"need {m} coordinates, got {len(pt)}")
         if any(c == 0 for c in pt):
             raise ZeroCoordinate(
                 "orbit test points must avoid the coordinate hyperplanes")

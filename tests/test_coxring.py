@@ -34,7 +34,6 @@ from toric_additive.coxring import (
     poly_str,
     substitute,
     torus_conjugate,
-    zero_derivation,
 )
 from toric_additive.errors import (
     LengthMismatch,
@@ -496,7 +495,7 @@ def test_exp_action_rejects_noncommuting():
 def test_exp_action_rejects_non_nilpotent():
     a = derivation(R3, {0: _p("x1^2")})
     with pytest.raises(NotLocallyNilpotent):
-        exp_action(a, zero_derivation(R3))
+        exp_action(a, derivation(R3, {}))
     z = derivation(R3, {0: _p("x2"), 1: _p("x1")})
     with pytest.raises(NotLocallyNilpotent):
         exp_ad(z, derivation(R3, {0: _p("1")}))
@@ -788,4 +787,4 @@ def test_normal_form_rejects():
 def test_derivation_str():
     dv = derivation(R3, {0: _p("x3"), 1: _p("x1*x3")})
     assert derivation_str(dv) == "(x3) d/dx1 + (x1*x3) d/dx2"
-    assert derivation_str(zero_derivation(R3)) == "0"
+    assert derivation_str(derivation(R3, {})) == "0"

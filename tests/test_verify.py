@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,20 @@ from toric_additive.coxring import (
     ActionMap,
     LndFamily,
     Poly,
+    action_ring,
     build_lnd_family,
+    commutator,
+    derivation,
     exp_action,
     parse_poly,
     torus_conjugate,
 )
-from toric_additive.errors import Inconclusive, NotApplicable, ZeroCoordinate
+from toric_additive.errors import (
+    Inconclusive,
+    LengthMismatch,
+    NotApplicable,
+    ZeroCoordinate,
+)
 from toric_additive.fan import adjacent, build_fan
 from toric_additive.lattice import pairing
 from toric_additive.roots import DemazureRoot, enumerate_roots_at
@@ -150,6 +160,87 @@ def test_bracket_table_rejects_shuffled_family():
     assert not check_bracket_table(bogus)
 
 
+def _pairwise_bracket_table(family):
+    """Reference: every bracket of the table, one pair at a time."""
+    delta, parts = family.delta, family.partials
+    for k, part in enumerate(parts):
+        got = commutator(delta, part)
+        if k == 0 and not got.is_zero:
+            return False
+        if k and got.entries != parts[k - 1].scale(k).entries:
+            return False
+    return all(commutator(parts[k], parts[l]).is_zero
+               for k in range(len(parts)) for l in range(k + 1, len(parts)))
+
+
+def _noncommuting_family():
+    # delta = d/dx1, partials (d/dx2, x1 d/dx2 + x2 d/dx3): both delta
+    # brackets hold, but [partials[0], partials[1]] = d/dx3
+    ring = action_ring(3)
+    one = Poly.const(ring, 1)
+    partials = (derivation(ring, {1: one}),
+                derivation(ring, {1: Poly.var(ring, 0), 2: Poly.var(ring, 1)}))
+    return LndFamily(ring=ring, basis=None, grading=None,
+                     delta=derivation(ring, {0: one}), partials=partials, d=1)
+
+
+def _bracket_table_cases():
+    rng = random.Random(19)
+    for a in range(1, 13):
+        for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
+            c = classify(build_fan(rays), with_actions=False)
+            family = build_lnd_family(c.basis, c.d)
+            yield "real", family
+            parts = list(family.partials)
+            rng.shuffle(parts)
+            yield "shuffled", replace(family, partials=tuple(parts))
+            parts = list(family.partials)
+            j = rng.randrange(len(parts))
+            parts[j] = parts[j].scale(2)
+            yield "scaled", replace(family, partials=tuple(parts))
+            yield "delta_plus_p0", replace(
+                family, delta=family.delta + family.partials[0])
+    yield "noncommuting", _noncommuting_family()
+
+
+def test_bracket_table_matches_pairwise_reference():
+    verdicts = Counter()
+    for label, family in _bracket_table_cases():
+        want = _pairwise_bracket_table(family)
+        assert check_bracket_table(family) is want, (label, family.d)
+        verdicts[label, want] += 1
+    # [delta + partials[0], partials[k]] = k partials[k-1] still, as the
+    # partials commute; scaling one partial by 2 breaks a delta bracket,
+    # and with this seed no shuffle leaves the order as it was
+    assert verdicts == {("real", True): 24, ("shuffled", False): 24,
+                        ("scaled", False): 24, ("delta_plus_p0", True): 24,
+                        ("noncommuting", False): 1}
+
+
+def test_bracket_table_catches_noncommuting_partials():
+    family = _noncommuting_family()
+    p0, p1 = family.partials
+    assert commutator(family.delta, p0).is_zero
+    assert commutator(family.delta, p1) == p0
+    ring = family.ring
+    assert commutator(p0, p1) == derivation(ring, {2: Poly.const(ring, 1)})
+    assert not check_bracket_table(family)
+
+
+def test_bracket_table_makes_two_commutator_calls(monkeypatch):
+    # bracketing pair by pair takes 33 + 528 = 561 calls at d = 32
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return commutator(a, b)
+
+    monkeypatch.setattr(verify, "commutator", counted)
+    family = build_lnd_family(find_admissible_basis(example_fan("f:32")), 32)
+    assert check_bracket_table(family)
+    assert len(calls) == 2
+
+
 def _p2_actions():
     c = classify(build_fan(example_fan("p2")))
     return c
@@ -214,7 +305,7 @@ def test_open_orbit_explicit_point():
     fam = c.family
     assert check_open_orbit(fam.delta, fam.partials[0], fam.grading,
                             point=(1, 1, 1))
-    with pytest.raises(ZeroCoordinate):
+    with pytest.raises(LengthMismatch):
         check_open_orbit(fam.delta, fam.partials[0], fam.grading,
                          point=(1, 1))
     with pytest.raises(ZeroCoordinate):
