@@ -63,6 +63,14 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _generator(ring: PolyRing, i: int) -> int:
+    """i, if it indexes a generator of ``ring``; no negative indices."""
+    if not 0 <= i < ring.nvars:
+        raise VariableMismatch(
+            f"no generator with index {i} in a ring of {ring.nvars}")
+    return i
+
+
 def action_ring(m: int) -> PolyRing:
     """Ring for m Cox coordinates plus two pairs of group parameters."""
     names = tuple(f"x{i}" for i in range(1, m + 1)) + ("s1", "s2", "r1", "r2")
@@ -115,13 +123,15 @@ class Poly:
 
     @classmethod
     def const(cls, ring: PolyRing, c) -> "Poly":
+        if type(c) is int:
+            return _reduced(ring, {(0,) * ring.nvars: c} if c else {}, 1)
         return cls(ring, {(0,) * ring.nvars: c})
 
     @classmethod
     def var(cls, ring: PolyRing, i: int) -> "Poly":
         exps = [0] * ring.nvars
-        exps[i] = 1
-        return cls(ring, {tuple(exps): 1})
+        exps[_generator(ring, i)] = 1
+        return _reduced(ring, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, ring: PolyRing, exps: Sequence[int], c=1) -> "Poly":
@@ -221,15 +231,15 @@ class Poly:
     def eval(self, values: Sequence) -> Fraction:
         if len(values) != self.ring.nvars:
             raise VariableMismatch("need one value per generator")
-        vals = [_exact(v) for v in values]
-        total = Fraction(0)
+        # int values stay ints up to the one division by den
+        vals = [v if type(v) is int else _exact(v) for v in values]
+        total = 0
         for e, c in self.num.items():
-            prod = Fraction(c)
             for v, k in zip(vals, e):
                 if k:
-                    prod *= v ** k
-            total += prod
-        return total / self.den
+                    c *= v ** k
+            total += c
+        return Fraction(total, self.den)
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -493,9 +503,9 @@ class Derivation:
 
 def derivation(ring: PolyRing, images: Mapping[int, Poly],
                char: CharVec | None = None) -> Derivation:
-    entries = [Poly.zero(ring) for _ in range(ring.nvars)]
+    entries = [Poly.zero(ring)] * ring.nvars
     for i, p in images.items():
-        entries[i] = p
+        entries[_generator(ring, i)] = p
     return Derivation(ring, tuple(entries), char=char)
 
 
@@ -692,7 +702,7 @@ def lnd_from_root(ring: PolyRing, rays: Sequence[LatticeVec], e: CharVec,
             raise NegativeExponent(
                 f"character {e} pairs negatively with ray {j + 1}")
         exps[j] = v
-    coeff = Poly.monomial(ring, tuple(exps), 1)
+    coeff = _reduced(ring, {tuple(exps): 1}, 1)
     return derivation(ring, {ray_index: coeff}, char=tuple(e))
 
 

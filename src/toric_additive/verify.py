@@ -9,7 +9,12 @@ variables, instead of bracketing each pair of derivations; the group law by
 actual composition of polynomial maps, open orbits by a nonzero m x m
 determinant at rational points, and the two isomorphism classes by an
 invariant (annihilator lines of degree-component elements) that does not
-look at how the actions were produced.
+look at how the actions were produced.  The invariant reads each probe's
+stabilizer off the action's tangent: D1, D2 are the s1- and s2-linear
+parts of the images, and the stabilizer of f is the kernel of
+s -> s1*D1(f) + s2*D2(f).  That is exact for a G_a^2 action, which the
+group law check certifies in the same report (the proof is in
+``annihilator_profile``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -255,8 +259,8 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
     m = len(grading.degrees)
     ring = d1.ring
 
-    def full_rank_at(pt: list[Fraction]) -> bool:
-        vals = [Fraction(0)] * ring.nvars
+    def full_rank_at(pt: list) -> bool:
+        vals = [0] * ring.nvars
         for i, c in enumerate(pt):
             vals[i] = c
         rows = [[d.entries[i].eval(vals) for i in range(m)] for d in (d1, d2)]
@@ -274,7 +278,7 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
         return full_rank_at(pt)
     rng = random.Random(seed)
     for _ in range(5):
-        pt = [Fraction(rng.randint(1, 9)) for _ in range(m)]
+        pt = [rng.randint(1, 9) for _ in range(m)]
         if full_rank_at(pt):
             return True
     return False
@@ -297,9 +301,12 @@ class AnnihilatorReport:
     """Stabilizer lines of probe elements in one graded component.
 
     For each probe f the subgroup {s : s.f = f} of the acting group is
-    computed exactly; it is trivial, a line through the origin, or the full
-    group.  A probe with full stabilizer (the distinguished monomial probe
-    always has one) carries no information and is excluded from ``lines``.
+    computed exactly, as the kernel of s -> s1*D1(f) + s2*D2(f) for the
+    action's tangent derivations D1, D2; for a G_a^2 action that kernel is
+    the stabilizer (see ``annihilator_profile``).  It is trivial, a line
+    through the origin, or the full group.  A probe with full stabilizer
+    (the distinguished monomial probe always has one) carries no
+    information and is excluded from ``lines``.
     """
 
     probes: tuple[ProbeResult, ...]
@@ -307,83 +314,100 @@ class AnnihilatorReport:
     full_labels: tuple[str, ...]
 
 
-def _stabilizer(action: ActionMap, f: Poly, moved: Poly,
-                m: int) -> tuple[str, tuple[int, int] | None]:
-    """Classify {s : f(action_s(x)) = f(x)} as full, a line, or trivial,
-    given ``moved`` = f(action_s(x))."""
+def _tangent(action: ActionMap) -> tuple[Derivation, Derivation]:
+    """The action's tangent derivations D1, D2 at s = 0.
+
+    D_j(x_i) is the s_j-linear coefficient of images[i]: the terms with
+    s_j to the first power and no other parameter, s_j struck out.  An
+    image that involves a parameter other than s1, s2 is refused.
+    """
     ring = action.ring
-    js1, js2 = ring.index("s1"), ring.index("s2")
-    # moved - f times the lcm of their denominators: the same zeros, in ints
-    den = lcm(moved.den, f.den)
-    g = {e: c * (den // moved.den) for e, c in moved.num.items()}
-    k = den // f.den
-    for e, c in f.num.items():
-        g[e] = g.get(e, 0) - c * k
-    # coefficient of each x-monomial, as a polynomial in (s1, s2)
-    system: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for exps, c in g.items():
-        if not c:
-            continue
-        if any(exps[j] for j in range(m, ring.nvars) if j not in (js1, js2)):
-            raise InternalInconsistency("difference involves spare parameters")
-        system.setdefault(exps[:m], {})[(exps[js1], exps[js2])] = c
-    if not system:
+    m = action.ncoords
+    j1, j2 = ring.index("s1"), ring.index("s2")
+    spare = [j for j in range(m, ring.nvars) if j not in (j1, j2)]
+    tangent = {j1: [Poly.zero(ring)] * ring.nvars,
+               j2: [Poly.zero(ring)] * ring.nvars}
+    for i, img in enumerate(action.images):
+        linear: dict[int, dict] = {j1: {}, j2: {}}
+        for e, c in img.num.items():
+            if any(e[j] for j in spare):
+                raise InternalInconsistency(
+                    f"image of {ring.names[i]} involves spare parameters")
+            if e[j1] + e[j2] == 1:
+                j = j1 if e[j1] else j2
+                linear[j][e[:j] + (0,) + e[j + 1:]] = c
+        for j, num in linear.items():
+            if num:
+                tangent[j][i] = _reduced(ring, num, img.den)
+    return (Derivation(ring, tuple(tangent[j1])),
+            Derivation(ring, tuple(tangent[j2])))
+
+
+def _kernel(a: Poly, b: Poly) -> tuple[str, tuple[int, int] | None]:
+    """The kernel of s -> s1*a + s2*b as full, a line, or trivial.
+
+    It is a line exactly when a and b are proportional: a = alpha*g and
+    b = beta*g with (alpha, beta) != 0, and then it runs along
+    (beta, -alpha), made primitive and sign-normalized.
+    """
+    if not a.num and not b.num:
         return "full", None
-    polys = list(system.values())
-    candidates = {(1, 0), (0, 1)}
-    for h in polys:
-        a = h.get((1, 0), 0)
-        b = h.get((0, 1), 0)
-        if a or b:
-            # solutions of a*s1 + b*s2 = 0 run along (b, -a)
-            w, _ = primitive((b, -a))
-            candidates.add(vneg(w) if w < (0, 0) else w)
-    verified = []
-    for v1, v2 in sorted(candidates):
-        ok = True
-        for h in polys:
-            # restrict to s = t*(v1, v2): the coefficient of each power of
-            # t must cancel for h to vanish along the whole line
-            by_deg: dict[int, int] = {}
-            for (e1, e2), c in h.items():
-                val = c * v1 ** e1 * v2 ** e2
-                by_deg[e1 + e2] = by_deg.get(e1 + e2, 0) + val
-            if any(by_deg.values()):
-                ok = False
-                break
-        if ok:
-            verified.append((v1, v2))
-    if len(verified) > 1:
-        raise InternalInconsistency(
-            "a stabilizer subgroup cannot contain two distinct lines "
-            "without being everything")
-    if verified:
-        return "line", verified[0]
-    return "none", None
+    if not a.num:
+        alpha, beta = 0, 1
+    elif not b.num:
+        alpha, beta = 1, 0
+    else:
+        if a.num.keys() != b.num.keys():
+            return "none", None
+        # the ratio of one coefficient pair, alpha/beta = (p/a.den)/(q/b.den),
+        # must hold at every monomial
+        e0 = next(iter(a.num))
+        p, q = a.num[e0], b.num[e0]
+        if any(c * q != b.num[e] * p for e, c in a.num.items()):
+            return "none", None
+        alpha, beta = p * b.den, q * a.den
+    w, _ = primitive((beta, -alpha))
+    return "line", (vneg(w) if w < (0, 0) else w)
 
 
 def annihilator_profile(action: ActionMap,
                         family: LndFamily) -> AnnihilatorReport:
+    """The stabilizer of each probe, read off the action's tangent.
+
+    The probes are x_{i2} (i2 the second basis index), the x_{i2}-entry
+    M_k of each partials[k], and x_{i2} +- M_1 when d >= 1.  The tangent
+    derivations D1, D2 are read off the images (see ``_tangent``); the
+    stabilizer of a probe f is the kernel of s -> s1*D1(f) + s2*D2(f).
+
+    Proof, for a map that is a G_a^2 action (``check_group_law`` certifies
+    this in the same report): the action is s -> exp(s1*D1 + s2*D2) with
+    D1, D2 commuting and locally nilpotent.  In characteristic 0 a closed
+    subgroup of G_a^2 is a linear subspace, so Stab(f) is the set of v
+    whose whole line t*v fixes f.  With N = v1*D1 + v2*D2 locally
+    nilpotent, exp(t*N)f - f = t*N(f) + t^2*N^2(f)/2 + ... vanishes for
+    all t exactly when its t-linear coefficient N(f) does, since N(f) = 0
+    kills every later term.  So v lies in Stab(f) exactly when
+    v1*D1(f) + v2*D2(f) = 0.  The action enters only through its map,
+    not through the derivations that built it, and no probe is
+    substituted.
+    """
     basis = family.basis
     i2 = basis.basis_indices[1]
-    m = len(basis.rays)
     ring = family.ring
-    probes: list[tuple[str, Poly]] = [
-        (ring.names[i2], Poly.var(ring, i2))]
+    x2 = Poly.var(ring, i2)
+    probes: list[tuple[str, Poly]] = [(ring.names[i2], x2)]
     for k, part in enumerate(family.partials):
         probes.append((f"M{k}", part.entries[i2]))
     if family.d >= 1:
         m1 = family.partials[1].entries[i2]
-        x2 = Poly.var(ring, i2)
         probes.append((f"{ring.names[i2]}+M1", x2 + m1))
         probes.append((f"{ring.names[i2]}-M1", x2 - m1))
-    moved = substitute([f for _, f in probes],
-                       {i: action.images[i] for i in range(m)})
+    d1, d2 = _tangent(action)
     results = []
     lines = set()
     full = []
-    for (label, f), g in zip(probes, moved):
-        kind, line = _stabilizer(action, f, g, m)
+    for label, f in probes:
+        kind, line = _kernel(d1.apply(f), d2.apply(f))
         results.append(ProbeResult(label=label, kind=kind, line=line))
         if kind == "line":
             lines.add(line)

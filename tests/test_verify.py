@@ -2,10 +2,11 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from toric_additive import verify
+from toric_additive import coxring, verify
 from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
@@ -16,23 +17,31 @@ from toric_additive.coxring import (
     build_lnd_family,
     commutator,
     derivation,
+    emit_actions,
     exp_action,
     parse_poly,
+    substitute,
     torus_conjugate,
 )
 from toric_additive.errors import (
     Inconclusive,
+    InternalInconsistency,
     LengthMismatch,
     NotApplicable,
     ZeroCoordinate,
 )
 from toric_additive.fan import adjacent, build_fan
-from toric_additive.lattice import pairing
-from toric_additive.roots import DemazureRoot, enumerate_roots_at
+from toric_additive.lattice import pairing, primitive, vneg
+from toric_additive.roots import (
+    DemazureRoot,
+    enumerate_roots_at,
+    octant_root_counts,
+)
 from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 from toric_additive.verify import (
     ActionClass,
     AnnihilatorReport,
+    ProbeResult,
     annihilator_profile,
     brute_force_roots,
     check_bracket_table,
@@ -341,16 +350,169 @@ def test_annihilator_profile_p2():
     assert classify_profile(rep) is ActionClass.NON_NORMALIZED
 
 
-def test_annihilator_lines_over_mixed_denominators():
-    # x2 moves to x2 + (s1 - s2)/3 * x3: the moved probe has denominator 3
-    # and x2 has 1, and only over one denominator does x2 cancel on s1 = s2
+def _mixed_denominator_map():
+    # x2 moves to x2 + (s1 - s2)/3 * x3: the moved probe and both tangent
+    # entries of x2 have denominator 3 and x2 has 1, and only over one
+    # denominator does x2 cancel on s1 = s2
     c = _p2_actions()
     ring = c.family.ring
     images = tuple(parse_poly(ring, text) for text in
                    ("x1", "x2 + 1/3*x3*s1 - 1/3*x3*s2", "x3"))
-    rep = annihilator_profile(ActionMap(ring=ring, images=images), c.family)
+    return ActionMap(ring=ring, images=images), c.family
+
+
+def _hand_built_maps():
+    """(label, action, family) for G_a^2 actions no family emits."""
+    yield "mixed_denominator", *_mixed_denominator_map()
+    c = _p2_actions()
+    ring = c.family.ring
+    for label, text in (
+            # the kernel of s1/2 - s2/3 runs along (2, 3)
+            ("unequal_denominators", "x2 + 1/2*x3*s1 - 1/3*x3*s2"),
+            # D1(x2), D2(x2) share their monomials but are not proportional
+            ("not_proportional", "x2 + x1*s1 + x3*s1 + x1*s2 + 2*x3*s2")):
+        images = tuple(parse_poly(ring, t) for t in ("x1", text, "x3"))
+        yield label, ActionMap(ring=ring, images=images), c.family
+    # exp((s1 + s2) D): the image of x2 has an s1*s2 term, which belongs
+    # to neither tangent derivation
+    fam = classify(build_fan(example_fan("f1"))).family
+    (i1, i2), (_, b) = fam.basis.basis_indices, fam.basis.nonbasis_indices
+    D = derivation(fam.ring, {i1: Poly.var(fam.ring, b),
+                              i2: Poly.var(fam.ring, i1)})
+    yield "diagonal", exp_action(D, D), fam
+
+
+def test_annihilator_lines_over_mixed_denominators():
+    rep = annihilator_profile(*_mixed_denominator_map())
     assert rep.lines == ((1, 1),)
     assert rep.full_labels == ("M0", "M1")
+
+
+def _vanishes_on_line(h, v):
+    """h(t*v1, t*v2) == 0 as a polynomial in t."""
+    by_deg = Counter()
+    for (e1, e2), c in h.items():
+        by_deg[e1 + e2] += c * v[0] ** e1 * v[1] ** e2
+    return not any(by_deg.values())
+
+
+def _substituted_stabilizer(action, f, moved, m):
+    """Reference: {s : f(action_s(x)) = f(x)}, given moved = f(action_s(x)).
+
+    Each x-monomial's coefficient of f(action_s(x)) - f(x) is a polynomial
+    h(s1, s2); a candidate line t*v is kept when every h vanishes on it in
+    each power of t.  The candidates are the axes and the kernel of each
+    h's linear part.
+    """
+    ring = action.ring
+    js1, js2 = ring.index("s1"), ring.index("s2")
+    system = {}
+    for exps, c in (moved - f).terms.items():
+        if any(exps[j] for j in range(m, ring.nvars) if j not in (js1, js2)):
+            raise InternalInconsistency("difference involves spare parameters")
+        system.setdefault(exps[:m], {})[exps[js1], exps[js2]] = c
+    if not system:
+        return "full", None
+    candidates = {(1, 0), (0, 1)}
+    for h in system.values():
+        a, b = h.get((1, 0), 0), h.get((0, 1), 0)
+        if a or b:
+            den = lcm(a.denominator, b.denominator)
+            w, _ = primitive((int(b * den), int(-a * den)))
+            candidates.add(vneg(w) if w < (0, 0) else w)
+    verified = [v for v in sorted(candidates)
+                if all(_vanishes_on_line(h, v) for h in system.values())]
+    assert len(verified) <= 1, verified
+    return ("line", verified[0]) if verified else ("none", None)
+
+
+def _substituted_profile(action, family):
+    """Reference: the annihilator profile by substituting every probe."""
+    i2 = family.basis.basis_indices[1]
+    m = len(family.basis.rays)
+    name = family.ring.names[i2]
+    x2 = Poly.var(family.ring, i2)
+    probes = [(name, x2)]
+    probes += [(f"M{k}", p.entries[i2]) for k, p in enumerate(family.partials)]
+    if family.d >= 1:
+        m1 = family.partials[1].entries[i2]
+        probes += [(f"{name}+M1", x2 + m1), (f"{name}-M1", x2 - m1)]
+    moved = substitute([f for _, f in probes],
+                       {i: action.images[i] for i in range(m)})
+    results = tuple(
+        ProbeResult(label, *_substituted_stabilizer(action, f, g, m))
+        for (label, f), g in zip(probes, moved))
+    return AnnihilatorReport(
+        probes=results,
+        lines=tuple(sorted({r.line for r in results if r.kind == "line"})),
+        full_labels=tuple(r.label for r in results if r.kind == "full"))
+
+
+def _profile_cases():
+    """(label, action, family): both actions of every bound-2 fan with
+    d >= 1 and of f:a, P(1,1,a) for a <= 12, ten torus-conjugated
+    non-normalized actions and the hand-built maps."""
+    families = []
+    for rays in enumerate_complete_fans(primitive_pool(2)):
+        # d = max(|R_1|, |R_2|) - 1, read off the octant coordinates
+        basis = find_admissible_basis(rays, validate=False)
+        if basis is not None and max(octant_root_counts(basis.alpha)) > 1:
+            c = classify(build_fan(rays), with_actions=False)
+            families.append(build_lnd_family(c.basis, c.d))
+    for a in range(1, 13):
+        for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
+            families.append(classify(build_fan(rays)).family)
+    for fam in families:
+        normalized, non_normalized = emit_actions(fam)
+        yield "normalized", normalized, fam
+        yield "non_normalized", non_normalized, fam
+    rng = random.Random(20)
+    for fam in rng.sample(families, 10):
+        t = [Fraction(rng.randint(1, 5), rng.randint(1, 5))
+             * rng.choice([-1, 1]) for _ in fam.basis.rays]
+        d1 = torus_conjugate(fam.delta, t) \
+            + torus_conjugate(fam.partials[fam.d], t)
+        act = exp_action(d1, torus_conjugate(fam.partials[0], t))
+        yield "conjugated", act, fam
+    yield from _hand_built_maps()
+
+
+def test_annihilator_profile_matches_substitution_reference():
+    kinds = Counter()
+    for label, action, family in _profile_cases():
+        want = _substituted_profile(action, family)
+        assert annihilator_profile(action, family) == want, \
+            (label, family.basis.rays)
+        kinds[label, want.lines and classify_profile(want)] += 1
+    assert kinds == {
+        ("normalized", ActionClass.NORMALIZED): 1800,
+        ("non_normalized", ActionClass.NON_NORMALIZED): 1800,
+        ("conjugated", ActionClass.NON_NORMALIZED): 10,
+        ("mixed_denominator", ActionClass.NON_NORMALIZED): 1,
+        ("unequal_denominators", ActionClass.NON_NORMALIZED): 1,
+        ("not_proportional", ()): 1,
+        ("diagonal", ActionClass.NON_NORMALIZED): 1}
+
+
+def test_annihilator_profile_substitutes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("substitute called")
+
+    c = classify(build_fan(example_fan("f:32")))
+    monkeypatch.setattr(verify, "substitute", refuse)
+    monkeypatch.setattr(coxring, "substitute", refuse)
+    assert distinguish_actions(c) == {
+        "normalized": ActionClass.NORMALIZED,
+        "non_normalized": ActionClass.NON_NORMALIZED}
+
+
+def test_annihilator_profile_refuses_spare_parameters():
+    c = _p2_actions()
+    ring = c.family.ring
+    images = tuple(parse_poly(ring, text) for text in
+                   ("x1", "x2 + x3*s2 + x3*r1", "x3"))
+    with pytest.raises(InternalInconsistency, match="spare parameters"):
+        annihilator_profile(ActionMap(ring=ring, images=images), c.family)
 
 
 def test_classify_profile_inconclusive():
