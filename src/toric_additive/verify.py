@@ -5,16 +5,18 @@ main modules take: roots by scanning each ray's line <p_i, e> = -1 point
 by point across a box instead of by interval arithmetic, and by testing
 each root against every ray where the enumeration reads only two
 neighbours; the bracket table by two brackets of graded sums over fresh
-variables, instead of bracketing each pair of derivations; the group law by
-actual composition of polynomial maps, open orbits by a nonzero m x m
-determinant at rational points, and the two isomorphism classes by an
-invariant (annihilator lines of degree-component elements) that does not
-look at how the actions were produced.  The invariant reads each probe's
-stabilizer off the action's tangent: D1, D2 are the s1- and s2-linear
-parts of the images, and the stabilizer of f is the kernel of
-s -> s1*D1(f) + s2*D2(f).  That is exact for a G_a^2 action, which the
-group law check certifies in the same report (the proof is in
-``annihilator_profile``).
+variables, instead of bracketing each pair of derivations; open orbits by
+a nonzero m x m determinant at rational points; and the two isomorphism
+classes by an invariant (annihilator lines of degree-component elements)
+that does not look at how the actions were produced.
+
+The group law and the invariant read only the action map, through its
+tangent: D1, D2 are the s1- and s2-linear parts of the images.  The map
+is a G_a^2 action exactly when it is the identity at s = 0 and each
+image F_i satisfies dF_i/ds_j = D_j(F_i) (the proof is in
+``check_group_law``), and for a G_a^2 action the stabilizer of a probe f
+is the kernel of s -> s1*D1(f) + s2*D2(f) (the proof is in
+``annihilator_profile``).  Neither composes nor substitutes.
 """
 
 from __future__ import annotations
@@ -41,10 +43,7 @@ from .coxring import (
     _exact,
     _reduced,
     commutator,
-    compose,
     degree_of,
-    lnd_from_root,
-    substitute,
 )
 from .errors import (
     Inconclusive,
@@ -195,21 +194,52 @@ def check_bracket_table(family: LndFamily) -> bool:
 
 
 def check_identity_at_zero(action: ActionMap) -> bool:
+    """The map at s = 0 sends every coordinate x_i to itself."""
     at_zero = action.at_params(0, 0)
     return all(p == Poly.var(action.ring, i) for i, p in enumerate(at_zero))
 
 
 def check_group_law(action: ActionMap) -> bool:
-    """Acting by s then by r must equal acting by s + r, exactly."""
+    """F is a G_a^2 action: F(x, 0) = x and dF_i/ds_j = D_j(F_i).
+
+    D1, D2 are the action's tangent derivations (see ``_tangent``): D_j
+    sends x_i to the s_j-linear coefficient of F_i and moves no parameter.
+    A map whose images involve a parameter other than s1, s2 is refused.
+    F(x, 0) = x and F(F(x, s), r) = F(x, s + r) hold exactly when the
+    two equations do, and checking them differentiates each image once and
+    applies each D_j to it once, with no composition or substitution.
+
+    Necessity: differentiate F_i(F(x, s), r) = F_i(x, s + r) in s_j at
+    s = 0; as F(x, 0) = x, the left side becomes sum_k D_j(x_k) dF_i/dx_k,
+    which is D_j(F_i), and the right side dF_i/ds_j.
+
+    Sufficiency, in four steps.  (1) D1, D2 have coefficients free of s,
+    so they commute with d/ds1, d/ds2 and with setting s = 0; by induction
+    the s1^a s2^b derivative of F at s = 0 is D1^a D2^b (x), so the
+    equations fix every Taylor coefficient of F in s.  (2) Mixed partials
+    of F agree, so D1 D2 and D2 D1 agree on every x_i; both derivations
+    kill the parameters, so the derivation [D1, D2] vanishes and D1, D2
+    commute.  (3) F is polynomial in s, so D1^a(x_i) and D2^b(x_i) vanish
+    for large a, b: D1 and D2 are locally nilpotent on every generator,
+    hence on the whole ring.  (4) Therefore
+    F = sum s1^a s2^b / (a! b!) D1^a D2^b (x) = exp(s1*D1 + s2*D2)(x),
+    and for commuting locally nilpotent D1, D2 the automorphisms
+    exp(s1*D1 + s2*D2) form a homomorphic image of G_a^2; composing two
+    of them adds their parameters, so F(F(x, s), r) = F(x, s + r).
+    """
+    try:
+        d1, d2 = _tangent(action)
+    except InternalInconsistency:
+        return False
     ring = action.ring
-    composed = compose(action, action)
-    shift = {
-        ring.index("s1"): Poly.var(ring, ring.index("s1"))
-        + Poly.var(ring, ring.index("r1")),
-        ring.index("s2"): Poly.var(ring, ring.index("s2"))
-        + Poly.var(ring, ring.index("r2")),
-    }
-    return composed.images == substitute(action.images, shift)
+    j1, j2 = ring.index("s1"), ring.index("s2")
+    for i, img in enumerate(action.images):
+        at_zero = {e: c for e, c in img.num.items() if not e[j1] and not e[j2]}
+        if _reduced(ring, at_zero, img.den) != Poly.var(ring, i):
+            return False
+        if img.diff(j1) != d1.apply(img) or img.diff(j2) != d2.apply(img):
+            return False
+    return True
 
 
 def check_homogeneous_images(action: ActionMap, grading: ClGrading) -> bool:
@@ -235,13 +265,21 @@ def check_grading_relations(basis, grading: ClGrading) -> bool:
 
 
 def check_root_lnd_degree_zero(c: Classification) -> bool:
-    """Every Demazure root's derivation preserves the class group grading."""
+    """Every Demazure root's derivation preserves the class group grading.
+
+    The root e of ray i gives prod_{j != i} x_j^<p_j,e> d/dx_i, whose entry
+    has degree sum_{j != i} <p_j, e> deg x_j.  As <p_i, e> = -1, that is
+    deg x_i exactly when sum_j <p_j, e> deg x_j = 0, so each root is
+    checked from its pairings with the rays, without building the
+    derivation.
+    """
     assert c.family is not None and c.root_system is not None
-    grading = c.family.grading
+    columns = tuple(zip(*c.family.grading.degrees))
     for i, per in enumerate(c.root_system.per_ray):
         for root in per:
-            dv = lnd_from_root(c.family.ring, c.fan.rays, root.e, i)
-            if degree_of(grading, dv.entries[i]) != grading.degrees[i]:
+            w = [pairing(p, root.e) for p in c.fan.rays]
+            if w[i] != -1 or any(sum(a * b for a, b in zip(w, col))
+                                 for col in columns):
                 return False
     return True
 
@@ -380,13 +418,14 @@ def annihilator_profile(action: ActionMap,
     stabilizer of a probe f is the kernel of s -> s1*D1(f) + s2*D2(f).
 
     Proof, for a map that is a G_a^2 action (``check_group_law`` certifies
-    this in the same report): the action is s -> exp(s1*D1 + s2*D2) with
-    D1, D2 commuting and locally nilpotent.  In characteristic 0 a closed
-    subgroup of G_a^2 is a linear subspace, so Stab(f) is the set of v
-    whose whole line t*v fixes f.  With N = v1*D1 + v2*D2 locally
-    nilpotent, exp(t*N)f - f = t*N(f) + t^2*N^2(f)/2 + ... vanishes for
-    all t exactly when its t-linear coefficient N(f) does, since N(f) = 0
-    kills every later term.  So v lies in Stab(f) exactly when
+    this in the same report, and its proof shows that the action is then
+    s -> exp(s1*D1 + s2*D2) with these D1, D2 commuting and locally
+    nilpotent).  In characteristic 0 a closed subgroup of G_a^2 is a
+    linear subspace, so Stab(f) is the set of v whose whole line t*v fixes
+    f.  With N = v1*D1 + v2*D2 locally nilpotent,
+    exp(t*N)f - f = t*N(f) + t^2*N^2(f)/2 + ... vanishes for all t exactly
+    when its t-linear coefficient N(f) does, since N(f) = 0 kills every
+    later term.  So v lies in Stab(f) exactly when
     v1*D1(f) + v2*D2(f) = 0.  The action enters only through its map,
     not through the derivations that built it, and no probe is
     substituted.

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
@@ -11,14 +12,18 @@ from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
+    ClGrading,
     LndFamily,
     Poly,
     action_ring,
     build_lnd_family,
     commutator,
+    compose,
+    degree_of,
     derivation,
     emit_actions,
     exp_action,
+    lnd_from_root,
     parse_poly,
     substitute,
     torus_conjugate,
@@ -32,11 +37,7 @@ from toric_additive.errors import (
 )
 from toric_additive.fan import adjacent, build_fan
 from toric_additive.lattice import pairing, primitive, vneg
-from toric_additive.roots import (
-    DemazureRoot,
-    enumerate_roots_at,
-    octant_root_counts,
-)
+from toric_additive.roots import DemazureRoot, enumerate_roots_at
 from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 from toric_additive.verify import (
     ActionClass,
@@ -278,6 +279,94 @@ def test_group_law_rejects_corrupted_map():
     assert not check_group_law(bad)
 
 
+def test_group_law_refuses_spare_parameters():
+    # the tangent is not defined for an image that involves r1
+    c = _p2_actions()
+    ring = c.family.ring
+    images = tuple(parse_poly(ring, text) for text in
+                   ("x1", "x2 + x3*s2 + x3*r1", "x3"))
+    assert not check_group_law(ActionMap(ring=ring, images=images))
+
+
+def test_group_law_checks_identity_at_zero():
+    # x2 <- x1 is idempotent, so composing it with itself gives nothing
+    # new: the composition reference accepts it, though it is not the
+    # identity at s = 0
+    c = _p2_actions()
+    ring = c.family.ring
+    images = tuple(parse_poly(ring, text) for text in ("x1", "x1", "x3"))
+    bad = ActionMap(ring=ring, images=images)
+    assert _composed_group_law(bad)
+    assert not check_identity_at_zero(bad)
+    assert not check_group_law(bad)
+
+
+def test_group_law_composes_and_substitutes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compose or substitute called")
+
+    c = classify(build_fan(example_fan("f:32")))
+    for module in (verify, coxring):
+        for name in ("compose", "substitute"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert check_group_law(c.normalized_action)
+    assert check_group_law(c.non_normalized_action)
+
+
+def _composed_group_law(action):
+    """Reference: acting by s then by r equals acting by s + r."""
+    ring = action.ring
+    s1, s2, r1, r2 = (ring.index(n) for n in ("s1", "s2", "r1", "r2"))
+    shift = {s1: Poly.var(ring, s1) + Poly.var(ring, r1),
+             s2: Poly.var(ring, s2) + Poly.var(ring, r2)}
+    return compose(action, action).images == substitute(action.images, shift)
+
+
+def _group_law_cases():
+    """(label, action): both actions of every admitting bound-2 fan and of
+    f:a, P(1,1,a) for a <= 32, both actions of ten families conjugated by a
+    torus point, and 60 actions with one image given an extra s1*s2, s1^2,
+    s2^2 or s1*x1^2 term."""
+    cs = list(_bound2_classifications())
+    for a in range(1, 33):
+        for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
+            cs.append(classify(build_fan(rays)))
+    actions = [act for c in cs
+               for act in (c.normalized_action, c.non_normalized_action)
+               if act is not None]
+    for act in actions:
+        yield "real", act
+    rng = random.Random(21)
+    for fam in rng.sample([c.family for c in cs], 10):
+        t = [Fraction(rng.randint(1, 5), rng.randint(1, 5))
+             * rng.choice([-1, 1]) for _ in fam.basis.rays]
+        d2 = torus_conjugate(fam.partials[0], t)
+        for d1 in (fam.delta, fam.delta + fam.partials[fam.d]):
+            yield "conjugated", exp_action(torus_conjugate(d1, t), d2)
+    # an extra s1*s2, s1^2 or s2^2 term breaks that Taylor coefficient in
+    # any image; s1*x1^2 goes into the image of x1, as
+    # x_i + s1*x1^2 can still be an action when the action fixes x1, x_i
+    for act in rng.sample(actions, 60):
+        ring = act.ring
+        i = rng.randrange(act.ncoords)
+        for text, at in (("s1*s2", i), ("s1^2", i), ("s2^2", i),
+                         ("s1*x1^2", 0)):
+            images = list(act.images)
+            images[at] = images[at] + parse_poly(ring, text)
+            yield text, ActionMap(ring=ring, images=tuple(images))
+
+
+def test_group_law_matches_composition_reference():
+    verdicts = Counter()
+    for label, action in _group_law_cases():
+        want = _composed_group_law(action)
+        assert check_group_law(action) is want, (label, action.images)
+        verdicts[label, want] += 1
+    assert verdicts == {("real", True): 5229, ("conjugated", True): 20,
+                        ("s1*s2", False): 60, ("s1^2", False): 60,
+                        ("s2^2", False): 60, ("s1*x1^2", False): 60}
+
+
 def test_homogeneous_images_rejects_mixed_degrees():
     basis = find_admissible_basis(example_fan("f1"))
     family = build_lnd_family(basis, 1)
@@ -292,6 +381,46 @@ def test_grading_relation_checks():
     c = _p2_actions()
     assert check_grading_relations(c.basis, c.family.grading)
     assert check_root_lnd_degree_zero(c)
+
+
+def _degree_zero_by_lnd(c):
+    """Reference: each root's derivation, built, keeps its entry's degree."""
+    grading = c.family.grading
+    return all(
+        degree_of(grading, lnd_from_root(c.family.ring, c.fan.rays, r.e,
+                                         i).entries[i]) == grading.degrees[i]
+        for i, per in enumerate(c.root_system.per_ray) for r in per)
+
+
+def test_root_lnd_degree_zero_matches_lnd_reference():
+    # each fan also with one coordinate's degree moved by one in one
+    # component: a root pairing nonzero with that ray then fails
+    rng = random.Random(21)
+    verdicts = Counter()
+    for c in _bound2_classifications():
+        degrees = [list(g) for g in c.family.grading.degrees]
+        degrees[rng.randrange(len(degrees))][rng.randrange(
+            len(degrees[0]))] += 1
+        bad = ClGrading(degrees=tuple(map(tuple, degrees)))
+        for label, cc in (("real", c), ("moved", replace(
+                c, family=replace(c.family, grading=bad)))):
+            want = _degree_zero_by_lnd(cc)
+            assert check_root_lnd_degree_zero(cc) is want, c.fan.rays
+            verdicts[label, want] += 1
+    assert verdicts == {("real", True): 3325, ("moved", False): 3325}
+
+
+def test_root_lnd_degree_zero_rejects_planted_non_root():
+    # (-2, 0) pairs -2 with its own ray (1, 0), so no derivation of that
+    # ray has it; its pairings still sum to degree 0, like every character
+    c = classify(build_fan(example_fan("f1")))
+    per_ray = list(c.root_system.per_ray)
+    per_ray[0] += (DemazureRoot(e=(-2, 0), ray=0),)
+    bad = replace(c, root_system=replace(c.root_system,
+                                         per_ray=tuple(per_ray)))
+    with pytest.raises(NotApplicable):
+        _degree_zero_by_lnd(bad)
+    assert not check_root_lnd_degree_zero(bad)
 
 
 def test_open_orbit_pass():
@@ -448,17 +577,19 @@ def _substituted_profile(action, family):
         full_labels=tuple(r.label for r in results if r.kind == "full"))
 
 
+@cache
+def _bound2_classifications():
+    """classify with actions of every admitting fan with rays in [-2, 2]^2."""
+    return tuple(classify(build_fan(rays))
+                 for rays in enumerate_complete_fans(primitive_pool(2))
+                 if find_admissible_basis(rays, validate=False) is not None)
+
+
 def _profile_cases():
     """(label, action, family): both actions of every bound-2 fan with
     d >= 1 and of f:a, P(1,1,a) for a <= 12, ten torus-conjugated
     non-normalized actions and the hand-built maps."""
-    families = []
-    for rays in enumerate_complete_fans(primitive_pool(2)):
-        # d = max(|R_1|, |R_2|) - 1, read off the octant coordinates
-        basis = find_admissible_basis(rays, validate=False)
-        if basis is not None and max(octant_root_counts(basis.alpha)) > 1:
-            c = classify(build_fan(rays), with_actions=False)
-            families.append(build_lnd_family(c.basis, c.d))
+    families = [c.family for c in _bound2_classifications() if c.d >= 1]
     for a in range(1, 13):
         for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
             families.append(classify(build_fan(rays)).family)
@@ -499,7 +630,9 @@ def test_annihilator_profile_substitutes_nothing(monkeypatch):
         raise AssertionError("substitute called")
 
     c = classify(build_fan(example_fan("f:32")))
-    monkeypatch.setattr(verify, "substitute", refuse)
+    # verify does not import substitute; patching it anyway catches an
+    # import added later
+    monkeypatch.setattr(verify, "substitute", refuse, raising=False)
     monkeypatch.setattr(coxring, "substitute", refuse)
     assert distinguish_actions(c) == {
         "normalized": ActionClass.NORMALIZED,
