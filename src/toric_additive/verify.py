@@ -194,9 +194,14 @@ def check_bracket_table(family: LndFamily) -> bool:
 
 
 def check_identity_at_zero(action: ActionMap) -> bool:
-    """The map at s = 0 sends every coordinate x_i to itself."""
-    at_zero = action.at_params(0, 0)
-    return all(p == Poly.var(action.ring, i) for i, p in enumerate(at_zero))
+    """F(x, 0) = x: the terms of each image F_i free of s1, s2 are x_i."""
+    ring = action.ring
+    j1, j2 = ring.index("s1"), ring.index("s2")
+    for i, img in enumerate(action.images):
+        at_zero = {e: c for e, c in img.num.items() if not e[j1] and not e[j2]}
+        if _reduced(ring, at_zero, img.den) != Poly.var(ring, i):
+            return False
+    return True
 
 
 def check_group_law(action: ActionMap) -> bool:
@@ -204,7 +209,8 @@ def check_group_law(action: ActionMap) -> bool:
 
     D1, D2 are the action's tangent derivations (see ``_tangent``): D_j
     sends x_i to the s_j-linear coefficient of F_i and moves no parameter.
-    A map whose images involve a parameter other than s1, s2 is refused.
+    A map whose images involve a parameter other than s1, s2 is refused,
+    and F(x, 0) = x is ``check_identity_at_zero``.
     F(x, 0) = x and F(F(x, s), r) = F(x, s + r) hold exactly when the
     two equations do, and checking them differentiates each image once and
     applies each D_j to it once, with no composition or substitution.
@@ -227,19 +233,15 @@ def check_group_law(action: ActionMap) -> bool:
     exp(s1*D1 + s2*D2) form a homomorphic image of G_a^2; composing two
     of them adds their parameters, so F(F(x, s), r) = F(x, s + r).
     """
+    if not check_identity_at_zero(action):
+        return False
     try:
         d1, d2 = _tangent(action)
     except InternalInconsistency:
         return False
-    ring = action.ring
-    j1, j2 = ring.index("s1"), ring.index("s2")
-    for i, img in enumerate(action.images):
-        at_zero = {e: c for e, c in img.num.items() if not e[j1] and not e[j2]}
-        if _reduced(ring, at_zero, img.den) != Poly.var(ring, i):
-            return False
-        if img.diff(j1) != d1.apply(img) or img.diff(j2) != d2.apply(img):
-            return False
-    return True
+    j1, j2 = action.ring.index("s1"), action.ring.index("s2")
+    return all(img.diff(j1) == d1.apply(img) and img.diff(j2) == d2.apply(img)
+               for img in action.images)
 
 
 def check_homogeneous_images(action: ActionMap, grading: ClGrading) -> bool:
@@ -271,15 +273,17 @@ def check_root_lnd_degree_zero(c: Classification) -> bool:
     has degree sum_{j != i} <p_j, e> deg x_j.  As <p_i, e> = -1, that is
     deg x_i exactly when sum_j <p_j, e> deg x_j = 0, so each root is
     checked from its pairings with the rays, without building the
-    derivation.
+    derivation.  A character with no such derivation fails: one that pairs
+    other than -1 with its own ray, or negatively with another ray.
     """
     assert c.family is not None and c.root_system is not None
     columns = tuple(zip(*c.family.grading.degrees))
     for i, per in enumerate(c.root_system.per_ray):
         for root in per:
             w = [pairing(p, root.e) for p in c.fan.rays]
-            if w[i] != -1 or any(sum(a * b for a, b in zip(w, col))
-                                 for col in columns):
+            if (w[i] != -1 or any(v < 0 for j, v in enumerate(w) if j != i)
+                    or any(sum(a * b for a, b in zip(w, col))
+                           for col in columns)):
                 return False
     return True
 

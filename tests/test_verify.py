@@ -32,6 +32,7 @@ from toric_additive.errors import (
     Inconclusive,
     InternalInconsistency,
     LengthMismatch,
+    NegativeExponent,
     NotApplicable,
     ZeroCoordinate,
 )
@@ -309,8 +310,9 @@ def test_group_law_composes_and_substitutes_nothing(monkeypatch):
     for module in (verify, coxring):
         for name in ("compose", "substitute"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    assert check_group_law(c.normalized_action)
-    assert check_group_law(c.non_normalized_action)
+    for act in (c.normalized_action, c.non_normalized_action):
+        assert check_identity_at_zero(act)
+        assert check_group_law(act)
 
 
 def _composed_group_law(action):
@@ -410,15 +412,21 @@ def test_root_lnd_degree_zero_matches_lnd_reference():
     assert verdicts == {("real", True): 3325, ("moved", False): 3325}
 
 
-def test_root_lnd_degree_zero_rejects_planted_non_root():
-    # (-2, 0) pairs -2 with its own ray (1, 0), so no derivation of that
-    # ray has it; its pairings still sum to degree 0, like every character
+@pytest.mark.parametrize("planted, error", [
+    # pairs -2 with its own ray (1, 0)
+    ((-2, 0), NotApplicable),
+    # pairs -1 with (1, 0) but -1 with (-1, -1) and -2 with (0, -1)
+    ((-1, 2), NegativeExponent),
+])
+def test_root_lnd_degree_zero_rejects_planted_non_root(planted, error):
+    # no derivation of ray (1, 0) of f1 has the planted character; its
+    # pairings still sum to degree 0, like every character
     c = classify(build_fan(example_fan("f1")))
     per_ray = list(c.root_system.per_ray)
-    per_ray[0] += (DemazureRoot(e=(-2, 0), ray=0),)
+    per_ray[0] += (DemazureRoot(e=planted, ray=0),)
     bad = replace(c, root_system=replace(c.root_system,
                                          per_ray=tuple(per_ray)))
-    with pytest.raises(NotApplicable):
+    with pytest.raises(error):
         _degree_zero_by_lnd(bad)
     assert not check_root_lnd_degree_zero(bad)
 
