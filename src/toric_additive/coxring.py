@@ -17,7 +17,7 @@ two actions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
@@ -572,6 +572,9 @@ class ActionMap:
     ring: PolyRing
     images: tuple[Poly, ...]
     params: tuple[str, ...] = ("s1", "s2")
+    # the images read at s = 0 by the verification oracles, kept on first use
+    _at_zero: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def ncoords(self) -> int:

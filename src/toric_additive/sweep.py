@@ -53,6 +53,14 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
     per fan: extending the chain by ray k drops the pairs whose bad mask
     has bit k and adds the admissible pairs (i, k).  The yielded lists are
     the walk's own and only valid until the next step.
+
+    The walk is one loop over an explicit stack of frames.  A frame holds
+    the iterator over the candidates left to extend the chain with, and
+    the chain's mask, pairs and length once extended.  Descending pushes
+    the current frame and starts one for the new last ray; an exhausted
+    frame pops its ray off the chain.  So fans come out in depth-first
+    order: by first ray, then lexicographically, a chain before its
+    extensions.
     """
     n = len(pool)
     cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
@@ -67,12 +75,13 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
         # the last ray of a longest chain is only worth adding if it closes
         closing_succ = [[k for k in s if closes[k]] for s in succ]
         chain = [start]
-
-        def extend(last: int, mask: int, pairs: list, depth: int):
-            for k in succ[last] if depth < max_rays else closing_succ[last]:
+        stack = []
+        cands, mask, pairs, depth = iter(succ[start]), bits[start], [], 2
+        while True:
+            for k in cands:
                 bit = bits[k]
                 grown = mask | bit
-                kept = [p for p in pairs if not p[2] & bit]
+                kept = [p for p in pairs if not p[2] & bit] if pairs else []
                 for bit_i, i, b in partners[k]:
                     if mask & bit_i and not b & grown:
                         kept.append((i, k, b))
@@ -80,10 +89,17 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
                 if depth >= min_rays and closes[k]:
                     yield chain, kept
                 if depth < max_rays:
-                    yield from extend(k, grown, kept, depth + 1)
+                    stack.append((cands, mask, pairs, depth))
+                    cands = iter(succ[k] if depth + 1 < max_rays
+                                 else closing_succ[k])
+                    mask, pairs, depth = grown, kept, depth + 1
+                    break
                 chain.pop()
-
-        yield from extend(start, bits[start], [], 2)
+            else:
+                if not stack:
+                    break
+                chain.pop()
+                cands, mask, pairs, depth = stack.pop()
 
 
 def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
@@ -189,7 +205,22 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     symbolic pipeline plus all verification oracles on every heavy_stride-th
     admitting fan and on the sampled non-admitting fans; only a heavy sweep
     keeps the admitting fans for it.
+
+    The interval enumeration depends only on a basis ray and its two
+    neighbours, so it runs once per (prev, ray, next) triple of pool
+    indices and is kept for the rest of the light phase.
+
+    Raises ValueError, before any work, when bound < 1, min_rays < 3,
+    max_rays < min_rays, a stride is below 1 or box < 0.  The first three
+    select no fans, and an empty sweep would read as clean.
     """
+    for name, value, least in (
+            ("bound", bound, 1), ("min_rays", min_rays, 3),
+            ("max_rays", max_rays, min_rays), ("heavy_stride", heavy_stride, 1),
+            ("nonadmitting_stride", nonadmitting_stride, 1), ("box", box, 0)):
+        if value < least:
+            floor = f"min_rays = {least}" if name == "max_rays" else least
+            raise ValueError(f"{name} must be at least {floor}; got {value}")
     report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     pool = primitive_pool(bound)
     bad, coords = _pair_tables(pool)
@@ -198,8 +229,10 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     admitting_fans: list[tuple[tuple[LatticeVec, ...], int]] = []
     nonadmitting_seen = 0
     nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
+    d_histogram: dict[int, int] = {}
+    # (prev, ray, next) pool indices -> number of roots of the middle ray
+    interval_sizes: dict[tuple[int, int, int], int] = {}
     for chain, pairs in _walk(pool, min_rays, max_rays, bad):
-        report.total_fans += 1
         if not pairs:
             if nonadmitting_seen % nonadmitting_stride == 0:
                 nonadmitting_picks.append(tuple(pool[k] for k in chain))
@@ -210,32 +243,38 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                                       if k != i and k != j])
                   for i, j, _ in pairs]
         degrees = [max(n1, n2) - 1 for n1, n2 in counts]
-        rays = tuple(pool[k] for k in chain)
         d = degrees[0]
         if any(x != d for x in degrees):
             report.record_violation(
-                "d_depends_on_basis", {"rays": rays, "degrees": degrees})
+                "d_depends_on_basis",
+                {"rays": tuple(pool[k] for k in chain), "degrees": degrees})
         (i, j, _), (n1, n2) = pairs[0], counts[0]
         # chains run counterclockwise, so a ray's neighbours sit beside it
-        m = len(rays)
-        intervals = [root_interval(rays[k - 1], rays[k], rays[(k + 1) % m])
-                     for k in (chain.index(i), chain.index(j))]
-        got = tuple(max(hi - lo + 1, 0) for _, _, lo, hi in intervals)
-        if got != (n1, n2):
+        m = len(chain)
+        got = []
+        for pos in (chain.index(i), chain.index(j)):
+            key = (chain[pos - 1], chain[pos], chain[(pos + 1) % m])
+            size = interval_sizes.get(key)
+            if size is None:
+                _, _, lo, hi = root_interval(*(pool[k] for k in key))
+                size = interval_sizes[key] = max(hi - lo + 1, 0)
+            got.append(size)
+        if got[0] != n1 or got[1] != n2:
             report.record_violation(
                 "root_count_mismatch",
-                {"rays": rays, "closed_form": (n1, n2), "interval": got})
-        report.admitting += 1
-        report.d_histogram[d] = report.d_histogram.get(d, 0) + 1
-        ncls = 1 if d == 0 else 2
-        if d == 0:
-            report.wide += 1
-        report.num_classes_counts[ncls] = \
-            report.num_classes_counts.get(ncls, 0) + 1
+                {"rays": tuple(pool[k] for k in chain),
+                 "closed_form": (n1, n2), "interval": tuple(got)})
+        d_histogram[d] = d_histogram.get(d, 0) + 1
         if heavy:
-            admitting_fans.append((rays, d))
-    if nonadmitting_seen:
-        report.num_classes_counts[0] = nonadmitting_seen
+            admitting_fans.append((tuple(pool[k] for k in chain), d))
+    report.admitting = sum(d_histogram.values())
+    report.total_fans = report.admitting + nonadmitting_seen
+    report.wide = d_histogram.get(0, 0)
+    report.d_histogram = d_histogram
+    # a fan with d = 0 has one class, any other admitting fan two
+    report.num_classes_counts = {
+        k: v for k, v in ((1, report.wide), (2, report.admitting - report.wide),
+                          (0, nonadmitting_seen)) if v}
     report.t_enumerate_light = time.perf_counter() - t0
     if progress:
         progress("light", report.total_fans)

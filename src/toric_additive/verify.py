@@ -193,24 +193,64 @@ def check_bracket_table(family: LndFamily) -> bool:
     return commutator(delta, p_t) == w and commutator(p_t, p_u).is_zero
 
 
+def _read_at_zero(action: ActionMap
+                  ) -> tuple[bool, tuple[Derivation, Derivation] | None]:
+    """Whether F(x, 0) = x, and the tangent derivations D1, D2 at s = 0.
+
+    One pass over the terms of each image F_i reads both: its terms free
+    of s1, s2 must be x_i, and D_j(x_i) is its s_j-linear coefficient (the
+    terms with s_j to the first power and no other parameter, s_j struck
+    out).  The tangent is None when an image involves a parameter other
+    than s1, s2.  The result is kept on the action, so the oracles of one
+    report read each action once.
+    """
+    if action._at_zero is not None:
+        return action._at_zero
+    ring = action.ring
+    m = action.ncoords
+    j1, j2 = ring.index("s1"), ring.index("s2")
+    spare = [j for j in range(m, ring.nvars) if j not in (j1, j2)]
+    identity = True
+    tangent: dict[int, list[Poly]] | None = {
+        j1: [Poly.zero(ring)] * ring.nvars, j2: [Poly.zero(ring)] * ring.nvars}
+    for i, img in enumerate(action.images):
+        at_zero: dict = {}
+        linear: dict[int, dict] = {j1: {}, j2: {}}
+        for e, c in img.num.items():
+            order = e[j1] + e[j2]
+            if order == 0:
+                at_zero[e] = c
+            if any(e[j] for j in spare):
+                tangent = None
+            elif order == 1:
+                j = j1 if e[j1] else j2
+                linear[j][e[:j] + (0,) + e[j + 1:]] = c
+        if identity and _reduced(ring, at_zero, img.den) != Poly.var(ring, i):
+            identity = False
+        if tangent is not None:
+            for j, num in linear.items():
+                if num:
+                    tangent[j][i] = _reduced(ring, num, img.den)
+    pair = None if tangent is None else (
+        Derivation(ring, tuple(tangent[j1])),
+        Derivation(ring, tuple(tangent[j2])))
+    object.__setattr__(action, "_at_zero", (identity, pair))
+    return action._at_zero
+
+
 def check_identity_at_zero(action: ActionMap) -> bool:
     """F(x, 0) = x: the terms of each image F_i free of s1, s2 are x_i."""
-    ring = action.ring
-    j1, j2 = ring.index("s1"), ring.index("s2")
-    for i, img in enumerate(action.images):
-        at_zero = {e: c for e, c in img.num.items() if not e[j1] and not e[j2]}
-        if _reduced(ring, at_zero, img.den) != Poly.var(ring, i):
-            return False
-    return True
+    return _read_at_zero(action)[0]
 
 
 def check_group_law(action: ActionMap) -> bool:
     """F is a G_a^2 action: F(x, 0) = x and dF_i/ds_j = D_j(F_i).
 
-    D1, D2 are the action's tangent derivations (see ``_tangent``): D_j
-    sends x_i to the s_j-linear coefficient of F_i and moves no parameter.
-    A map whose images involve a parameter other than s1, s2 is refused,
-    and F(x, 0) = x is ``check_identity_at_zero``.
+    D1, D2 are the action's tangent derivations (see ``_read_at_zero``):
+    D_j sends x_i to the s_j-linear coefficient of F_i and moves no
+    parameter.  A map whose images involve a parameter other than s1, s2
+    is refused, and F(x, 0) = x is read in the same pass as the tangent,
+    with the verdict ``check_identity_at_zero`` reports.
     F(x, 0) = x and F(F(x, s), r) = F(x, s + r) hold exactly when the
     two equations do, and checking them differentiates each image once and
     applies each D_j to it once, with no composition or substitution.
@@ -233,12 +273,10 @@ def check_group_law(action: ActionMap) -> bool:
     exp(s1*D1 + s2*D2) form a homomorphic image of G_a^2; composing two
     of them adds their parameters, so F(F(x, s), r) = F(x, s + r).
     """
-    if not check_identity_at_zero(action):
+    identity, tangent = _read_at_zero(action)
+    if not identity or tangent is None:
         return False
-    try:
-        d1, d2 = _tangent(action)
-    except InternalInconsistency:
-        return False
+    d1, d2 = tangent
     j1, j2 = action.ring.index("s1"), action.ring.index("s2")
     return all(img.diff(j1) == d1.apply(img) and img.diff(j2) == d2.apply(img)
                for img in action.images)
@@ -356,35 +394,6 @@ class AnnihilatorReport:
     full_labels: tuple[str, ...]
 
 
-def _tangent(action: ActionMap) -> tuple[Derivation, Derivation]:
-    """The action's tangent derivations D1, D2 at s = 0.
-
-    D_j(x_i) is the s_j-linear coefficient of images[i]: the terms with
-    s_j to the first power and no other parameter, s_j struck out.  An
-    image that involves a parameter other than s1, s2 is refused.
-    """
-    ring = action.ring
-    m = action.ncoords
-    j1, j2 = ring.index("s1"), ring.index("s2")
-    spare = [j for j in range(m, ring.nvars) if j not in (j1, j2)]
-    tangent = {j1: [Poly.zero(ring)] * ring.nvars,
-               j2: [Poly.zero(ring)] * ring.nvars}
-    for i, img in enumerate(action.images):
-        linear: dict[int, dict] = {j1: {}, j2: {}}
-        for e, c in img.num.items():
-            if any(e[j] for j in spare):
-                raise InternalInconsistency(
-                    f"image of {ring.names[i]} involves spare parameters")
-            if e[j1] + e[j2] == 1:
-                j = j1 if e[j1] else j2
-                linear[j][e[:j] + (0,) + e[j + 1:]] = c
-        for j, num in linear.items():
-            if num:
-                tangent[j][i] = _reduced(ring, num, img.den)
-    return (Derivation(ring, tuple(tangent[j1])),
-            Derivation(ring, tuple(tangent[j2])))
-
-
 def _kernel(a: Poly, b: Poly) -> tuple[str, tuple[int, int] | None]:
     """The kernel of s -> s1*a + s2*b as full, a line, or trivial.
 
@@ -418,7 +427,7 @@ def annihilator_profile(action: ActionMap,
 
     The probes are x_{i2} (i2 the second basis index), the x_{i2}-entry
     M_k of each partials[k], and x_{i2} +- M_1 when d >= 1.  The tangent
-    derivations D1, D2 are read off the images (see ``_tangent``); the
+    derivations D1, D2 are read off the images (see ``_read_at_zero``); the
     stabilizer of a probe f is the kernel of s -> s1*D1(f) + s2*D2(f).
 
     Proof, for a map that is a G_a^2 action (``check_group_law`` certifies
@@ -445,7 +454,10 @@ def annihilator_profile(action: ActionMap,
         m1 = family.partials[1].entries[i2]
         probes.append((f"{ring.names[i2]}+M1", x2 + m1))
         probes.append((f"{ring.names[i2]}-M1", x2 - m1))
-    d1, d2 = _tangent(action)
+    tangent = _read_at_zero(action)[1]
+    if tangent is None:
+        raise InternalInconsistency("an image involves spare parameters")
+    d1, d2 = tangent
     results = []
     lines = set()
     full = []

@@ -4,6 +4,9 @@ import hashlib
 
 import pytest
 
+from toric_additive import sweep
+from toric_additive.lattice import det2
+from toric_additive.roots import root_interval
 from toric_additive.sweep import (
     _pair_tables,
     _walk,
@@ -13,6 +16,67 @@ from toric_additive.sweep import (
 )
 
 POOL2 = primitive_pool(2)
+
+
+def _recursive_walk(pool, min_rays, max_rays, bad):
+    """Reference: the walk as nested generators, one per chain length."""
+    n = len(pool)
+    cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
+    succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
+    bits = [1 << k for k in range(n)]
+    partners = [[(bits[i], i, bad[i][k]) for i in range(k)
+                 if bad[i][k] is not None] for k in range(n)]
+
+    for start in range(n):
+        closes = [cr[k][start] > 0 for k in range(n)]
+        closing_succ = [[k for k in s if closes[k]] for s in succ]
+        chain = [start]
+
+        def extend(last, mask, pairs, depth):
+            for k in succ[last] if depth < max_rays else closing_succ[last]:
+                bit = bits[k]
+                grown = mask | bit
+                kept = [p for p in pairs if not p[2] & bit]
+                for bit_i, i, b in partners[k]:
+                    if mask & bit_i and not b & grown:
+                        kept.append((i, k, b))
+                chain.append(k)
+                if depth >= min_rays and closes[k]:
+                    yield chain, kept
+                if depth < max_rays:
+                    yield from extend(k, grown, kept, depth + 1)
+                chain.pop()
+
+        yield from extend(start, bits[start], [], 2)
+
+
+@pytest.mark.parametrize("min_rays,max_rays", [(3, 6), (3, 4), (5, 8)])
+def test_walk_matches_recursive_reference(min_rays, max_rays):
+    bad, _ = _pair_tables(POOL2)
+    got = [(tuple(chain), sorted(pairs))
+           for chain, pairs in _walk(POOL2, min_rays, max_rays, bad)]
+    want = [(tuple(chain), sorted(pairs)) for chain, pairs in
+            _recursive_walk(POOL2, min_rays, max_rays, bad)]
+    assert got == want
+
+
+def test_walk_sequence_at_bound_3_is_pinned():
+    # recorded with the recursive walk that _recursive_walk keeps as the
+    # reference.  Per fan: its length and pool indices as bytes (all below
+    # 32), then repr(sorted(pairs)) when it has pairs; a length byte is
+    # never "[", so the encoding reads back one way.
+    pool = primitive_pool(3)
+    bad, _ = _pair_tables(pool)
+    digest = hashlib.sha256()
+    count = 0
+    for chain, pairs in _walk(pool, 3, 6, bad):
+        digest.update(bytes((len(chain), *chain)))
+        if pairs:
+            digest.update(repr(sorted(pairs)).encode())
+        count += 1
+    assert count == 928712
+    assert digest.hexdigest() == \
+        "ea79a8f9004c6644affbf877c9040ecfb23e8f9189afd6234bb528b9d9649ba6"
 
 
 @pytest.mark.parametrize("min_rays,max_rays", [(3, 6), (3, 4), (5, 8)])
@@ -64,3 +128,47 @@ def test_pair_tables_never_forbid_their_own_rays():
         for j, b in enumerate(row):
             if b is not None:
                 assert not b & (1 << i | 1 << j), (i, j)
+
+
+def test_root_count_cross_check_fires(monkeypatch):
+    def widened(prev, p, nxt):
+        e0, q, lo, hi = root_interval(prev, p, nxt)
+        return e0, q, lo, hi + 1
+
+    monkeypatch.setattr(sweep, "root_interval", widened)
+    r = run_sweep(bound=2, heavy=False)
+    assert r.admitting == 3325
+    assert r.violation_counts == {"root_count_mismatch": 3325}
+
+
+def test_root_interval_runs_once_per_triple(monkeypatch):
+    # two basis rays per admitting fan would make 6,650 calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return root_interval(*args)
+
+    monkeypatch.setattr(sweep, "root_interval", counted)
+    assert run_sweep(bound=2, heavy=False).all_clean
+    assert len(calls) == len(set(calls)) == 292
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"bound": 0}, "bound"),
+    ({"bound": -1}, "bound"),
+    ({"min_rays": 2}, "min_rays"),
+    ({"min_rays": 5, "max_rays": 4}, "max_rays"),
+    ({"heavy_stride": 0}, "heavy_stride"),
+    ({"heavy_stride": -1}, "heavy_stride"),
+    ({"nonadmitting_stride": 0}, "nonadmitting_stride"),
+    ({"box": -1}, "box"),
+])
+def test_run_sweep_rejects_out_of_range_arguments(monkeypatch, kwargs, name):
+    def refuse(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sweep, "primitive_pool", refuse)
+    monkeypatch.setattr(sweep, "_walk", refuse)
+    with pytest.raises(ValueError, match=f"^{name} .*got {kwargs[name]}$"):
+        run_sweep(**kwargs)

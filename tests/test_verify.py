@@ -656,6 +656,30 @@ def test_annihilator_profile_refuses_spare_parameters():
         annihilator_profile(ActionMap(ring=ring, images=images), c.family)
 
 
+def test_report_reads_each_action_once(monkeypatch):
+    # the identity at zero and the tangent come from one pass per action,
+    # shared by the identity line, the group law and the distinguisher
+    reads = []
+    read = verify._read_at_zero
+
+    def counted(action):
+        if action._at_zero is None:
+            reads.append(action)
+        return read(action)
+
+    identity_calls = []
+    check = verify.check_identity_at_zero
+    monkeypatch.setattr(verify, "_read_at_zero", counted)
+    monkeypatch.setattr(verify, "check_identity_at_zero",
+                        lambda action: identity_calls.append(action)
+                        or check(action))
+    c = classify(build_fan(example_fan("f:3")))
+    rep = verification_report(c)
+    assert rep["all_pass"] and rep["checks"]["distinguish_actions"]
+    actions = [c.normalized_action, c.non_normalized_action]
+    assert reads == identity_calls == actions
+
+
 def test_classify_profile_inconclusive():
     with pytest.raises(Inconclusive):
         classify_profile(AnnihilatorReport(probes=(), lines=(),
