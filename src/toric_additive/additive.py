@@ -19,11 +19,12 @@ from .coxring import (
     build_lnd_family,
     emit_actions,
 )
-from .errors import InternalInconsistency, NotABasis
+from .errors import InternalInconsistency
 from .fan import Fan2, build_fan
 from .lattice import (
     CharVec,
     LatticeVec,
+    det2,
     int_rays,
     octant_coords,
     pairing,
@@ -65,10 +66,9 @@ def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
     if validate:
         build_fan(clean)
     for perm in permutations(range(len(clean)), 2):
-        try:
-            duals = unimodular_duals([clean[i] for i in perm])
-        except NotABasis:
+        if abs(det2(clean[perm[0]], clean[perm[1]])) != 1:
             continue
+        duals = unimodular_duals([clean[i] for i in perm])
         nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
         alpha = []
         for j in nonbasis:
@@ -118,18 +118,19 @@ def complete_collections(fan: Fan2) -> tuple[CompleteCollection, ...]:
     """All complete collections, normalized so the first ray index is smaller.
 
     These are in bijection with unordered admissible bases: the collection
-    of a basis consists of the negatives of its dual vectors.
+    of a basis consists of the negatives of its dual vectors.  By the cone
+    condition a root of p_i pairs to 0 only with the rays beside p_i, so
+    only the maximal cones are tried, in lexicographic order.
     """
     per_ray = roots_by_ray(fan)
     out = []
-    for i1 in range(fan.nrays):
-        for i2 in range(i1 + 1, fan.nrays):
-            for r1 in per_ray[i1]:
-                if pairing(fan.rays[i2], r1.e) != 0:
-                    continue
-                for r2 in per_ray[i2]:
-                    if pairing(fan.rays[i1], r2.e) == 0:
-                        out.append(CompleteCollection(roots=(r1, r2)))
+    for i1, i2 in sorted(tuple(sorted(c)) for c in fan.maximal_cones):
+        for r1 in per_ray[i1]:
+            if pairing(fan.rays[i2], r1.e) != 0:
+                continue
+            for r2 in per_ray[i2]:
+                if pairing(fan.rays[i1], r2.e) == 0:
+                    out.append(CompleteCollection(roots=(r1, r2)))
     return tuple(out)
 
 

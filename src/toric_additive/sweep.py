@@ -8,6 +8,11 @@ is decided from precomputed pair tables in integer arithmetic: the walk
 carries each chain's admissible pairs down to its fans, so a fan that
 admits no action costs nothing beyond the walk.  The expensive symbolic
 verification runs on the admitting fans afterwards.
+
+An admissible pair p, q spans a cone of the fan, so the walk tests only
+rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
+with a, b >= 0, uniquely as p, q is a basis, so none is a*p + b*q with
+a, b > 0, strictly inside the cone that p and q span.
 """
 
 from __future__ import annotations
@@ -49,26 +54,20 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
     Yields (chain, pairs) once per complete fan: chain is the fan's
     ascending list of pool indices, and pairs lists (i, j, bad[i][j]) for
     every pair i < j of the chain whose table exists and whose bad mask
-    misses the chain.  Both are carried down the walk rather than rebuilt
-    per fan: extending the chain by ray k drops the pairs whose bad mask
-    has bit k and adds the admissible pairs (i, k).  The yielded lists are
-    the walk's own and only valid until the next step.
+    misses the chain.  Such a pair spans a cone (see the module docstring),
+    so adding ray k drops the carried pairs hit by bit k and tests only the
+    new pair (chain[-1], k); a fan also gets its closing pair (chain[0], k),
+    in the yielded list only, which is valid until the next step.
 
-    The walk is one loop over an explicit stack of frames.  A frame holds
-    the iterator over the candidates left to extend the chain with, and
-    the chain's mask, pairs and length once extended.  Descending pushes
-    the current frame and starts one for the new last ray; an exhausted
-    frame pops its ray off the chain.  So fans come out in depth-first
-    order: by first ray, then lexicographically, a chain before its
-    extensions.
+    The walk is one loop over an explicit stack of frames, each holding
+    the iterator over the candidates left, and the chain's mask, pairs and
+    length once extended.  Fans come out in depth-first order: by first
+    ray, then lexicographically, a chain before its extensions.
     """
     n = len(pool)
     cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
     succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
     bits = [1 << k for k in range(n)]
-    # partners[k]: the rays i < k that form a pair table with k
-    partners = [[(bits[i], i, bad[i][k]) for i in range(k)
-                 if bad[i][k] is not None] for k in range(n)]
 
     for start in range(n):
         closes = [cr[k][start] > 0 for k in range(n)]
@@ -82,12 +81,14 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
                 bit = bits[k]
                 grown = mask | bit
                 kept = [p for p in pairs if not p[2] & bit] if pairs else []
-                for bit_i, i, b in partners[k]:
-                    if mask & bit_i and not b & grown:
-                        kept.append((i, k, b))
+                b = bad[chain[-1]][k]
+                if b is not None and not b & grown:
+                    kept.append((chain[-1], k, b))
                 chain.append(k)
                 if depth >= min_rays and closes[k]:
-                    yield chain, kept
+                    b = bad[start][k]
+                    yield chain, (kept + [(start, k, b)]
+                                  if b is not None and not b & grown else kept)
                 if depth < max_rays:
                     stack.append((cands, mask, pairs, depth))
                     cands = iter(succ[k] if depth + 1 < max_rays

@@ -17,7 +17,8 @@ from toric_additive.catalog import example_fan
 from toric_additive.errors import UnsupportedDimension
 from toric_additive.fan import build_fan
 from toric_additive.lattice import det2, pairing
-from toric_additive.roots import octant_root_counts
+from toric_additive.roots import octant_root_counts, roots_by_ray
+from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 
 NO_ACTION_RAYS = [(1, 0), (-1, 3), (0, -1), (-1, -1), (1, -2)]
 
@@ -138,6 +139,37 @@ def test_collections_bijection_with_ordered_bases():
         assert len(bases) == 2 * len(cols)
         assert ({c.basis_indices for c in cols} ==
                 {tuple(sorted(b.basis_indices)) for b in bases})
+
+
+def _all_pairs_collections(fan):
+    """Reference: complete collections over every pair of rays."""
+    per_ray = roots_by_ray(fan)
+    out = []
+    for i1 in range(fan.nrays):
+        for i2 in range(i1 + 1, fan.nrays):
+            for r1 in per_ray[i1]:
+                if pairing(fan.rays[i2], r1.e) != 0:
+                    continue
+                for r2 in per_ray[i2]:
+                    if pairing(fan.rays[i1], r2.e) == 0:
+                        out.append((r1, r2))
+    return out
+
+
+def test_admissible_pairs_span_cones():
+    # every complete fan with coordinates in [-2, 2]^2: an admissible basis
+    # spans a maximal cone, and scanning only the cones finds every
+    # collection the all-pairs scan finds, in the same order
+    fans = 0
+    for rays in enumerate_complete_fans(primitive_pool(2)):
+        fan = build_fan(rays)
+        cones = {frozenset(c) for c in fan.maximal_cones}
+        for basis in all_admissible_bases(fan.rays, validate=False):
+            assert frozenset(basis.basis_indices) in cones, rays
+        assert [c.roots for c in complete_collections(fan)] == \
+            _all_pairs_collections(fan), rays
+        fans += 1
+    assert fans == 11396
 
 
 WIDE_GOLDEN = {

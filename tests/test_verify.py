@@ -680,6 +680,25 @@ def test_report_reads_each_action_once(monkeypatch):
     assert reads == identity_calls == actions
 
 
+def test_open_orbit_reads_the_emitted_action():
+    # exp(s1*P0 + s2*P0) moves along one direction only: its orbits are
+    # thin, so the report must read the action itself, not the family
+    c = _p2_actions()
+    thin = exp_action(c.family.partials[0], c.family.partials[0])
+    checks = verification_report(
+        replace(c, non_normalized_action=thin))["checks"]
+    assert checks["open_orbit_normalized"]
+    assert checks["open_orbit_non_normalized"] is False
+    # an image involving r1 has no tangent: the orbit check reads False
+    c = classify(build_fan(example_fan("p1xp1")))
+    ring = c.family.ring
+    spare = ActionMap(ring=ring, images=tuple(
+        parse_poly(ring, text) for text in ("x1", "x2 + x3*r1", "x3", "x4")))
+    checks = verification_report(
+        replace(c, normalized_action=spare))["checks"]
+    assert checks["open_orbit_normalized"] is False
+
+
 def test_classify_profile_inconclusive():
     with pytest.raises(Inconclusive):
         classify_profile(AnnihilatorReport(probes=(), lines=(),
