@@ -84,7 +84,9 @@ class Poly:
     int; the coefficient of x^e is num[e] / den.  The form is canonical:
     gcd(den, *num.values()) == 1, and the zero polynomial has den == 1, so
     two polynomials are equal exactly when their rings, ``den`` and ``num``
-    are.  A Poly is never changed once built, so results may share ``num``.
+    are.  A Poly is never changed once built, so results may share ``num``,
+    and a sum or product may be one of its operands (a sum with zero is the
+    other summand, a product with zero is ``Poly.zero``).
 
     ``terms`` is the exact view, exponent tuple -> nonzero Fraction, built
     afresh on each read: changing the dict it returns leaves the Poly as it
@@ -152,6 +154,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         den = lcm(self.den, other.den)
         ka, kb = den // self.den, den // other.den
         num = (dict(self.num) if ka == 1
@@ -183,6 +189,8 @@ class Poly:
             return _reduced(self.ring, {e: a * k for e, a in self.num.items()},
                             self.den * c.denominator)
         self._check_ring(other)
+        if not self.num or not other.num:
+            return Poly.zero(self.ring)
         num: dict[tuple[int, ...], int] = {}
         get = num.get
         for e1, c1 in self.num.items():
@@ -473,14 +481,39 @@ class Derivation:
         return all(p.is_zero for p in self.entries)
 
     def apply(self, p: Poly) -> Poly:
-        if p.ring != self.ring:
+        """D(p) = sum_i D(x_i) * dp/dx_i, in one pass and one reduction.
+
+        With L the lcm of the denominators of the moved entries D(x_i),
+        each term c*x^e of p's numerator with e_i > 0 and each term a*x^f
+        of D(x_i)'s numerator add c*e_i*a*(L // D(x_i).den) at x^(e - unit_i
+        + f).  Every contribution goes into one int dict over the
+        denominator p.den * L; zeros are dropped and the result reduced
+        once, so no derivative, product or partial sum is built.
+        """
+        ring = self.ring
+        if p.ring != ring:
             raise VariableMismatch("argument outside the derivation's ring")
-        out = Poly.zero(self.ring)
-        # p.diff(i) is zero unless some term of p contains x_i
-        for i, occurs in enumerate(map(any, zip(*p.num))):
-            if occurs and not self.entries[i].is_zero:
-                out = out + self.entries[i] * p.diff(i)
-        return out
+        moved = [(i, q) for i, q in enumerate(self.entries) if q.num]
+        if not moved or not p.num:
+            return Poly.zero(ring)
+        den = lcm(*(q.den for _, q in moved))
+        num: dict[tuple[int, ...], int] = {}
+        get = num.get
+        for i, q in moved:
+            # D(x_i)'s terms over den, their exponents less unit_i: adding
+            # e to such an f strikes x_i once from x^e and multiplies x^f in
+            k = den // q.den
+            shifted = [(f[:i] + (f[i] - 1,) + f[i + 1:], a * k)
+                       for f, a in q.num.items()]
+            for e, c in p.num.items():
+                ei = e[i]
+                if ei:
+                    c *= ei
+                    for f, a in shifted:
+                        f = tuple(map(add, e, f))
+                        num[f] = get(f, 0) + c * a
+        return _reduced(ring, {e: c for e, c in num.items() if c},
+                        p.den * den)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.ring != other.ring:

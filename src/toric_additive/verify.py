@@ -16,7 +16,9 @@ images.  The map is a G_a^2 action exactly when it is the identity at
 s = 0 and each image F_i satisfies dF_i/ds_j = D_j(F_i) (the proof is in
 ``check_group_law``), and for a G_a^2 action the stabilizer of a probe f
 is the kernel of s -> s1*D1(f) + s2*D2(f) (the proof is in
-``annihilator_profile``).  None of them composes or substitutes.
+``annihilator_profile``).  None of them composes or substitutes.  The
+invariant tags its probes with powers of a fresh variable, as the bracket
+table does, so each tangent derivation is applied once to all of them.
 """
 
 from __future__ import annotations
@@ -134,32 +136,55 @@ def check_collections_bases_bijection(fan: Fan2) -> bool:
             and len(coll_sets) == len(colls))
 
 
-def _graded_sum(ring: PolyRing,
-                terms: Sequence[tuple[int, tuple[int, int], Derivation]]
-                ) -> Derivation:
-    """The sum of c * t^a * u^b * D over the (c, (a, b), D) in ``terms``.
+def _padded_sum(ring: PolyRing,
+                parts: Sequence[tuple[int, tuple[int, ...], Poly]]
+                ) -> Poly:
+    """The sum of c * x^pad * p over the (c, pad, p) in ``parts``.
 
-    ``ring`` is D's ring with the fresh generators t, u appended, each c is
-    a nonzero int and the (a, b) are distinct.  Entry i collects the i-th
-    entries of the D's, their exponents padded with (a, b) and their
-    numerators brought over one lcm denominator; as the (a, b) differ, no
-    two terms land on the same monomial.
+    ``ring`` is p's ring with fresh generators appended, ``pad`` holds
+    their exponents, each c is a nonzero int and the pads are distinct.
+    The numerators are padded and brought over one lcm denominator; as the
+    pads differ, no two terms land on the same monomial.
     """
-    by_entry: dict[int, list[tuple[int, tuple[int, int], Poly]]] = {}
+    den = lcm(*(p.den for _, _, p in parts))
+    num = {}
+    for c, pad, p in parts:
+        k = c * (den // p.den)
+        for e, a in p.num.items():
+            num[e + pad] = a * k
+    return _reduced(ring, num, den)
+
+
+def _graded_sum(ring: PolyRing,
+                terms: Sequence[tuple[int, tuple[int, ...], Derivation]]
+                ) -> Derivation:
+    """The sum of c * x^pad * D over the (c, pad, D) in ``terms``.
+
+    ``ring`` is D's ring with fresh generators appended (t, u for the
+    bracket table), and entry i is the ``_padded_sum`` of the i-th entries
+    of the D's; the entries of the fresh generators are zero.
+    """
+    by_entry: dict[int, list[tuple[int, tuple[int, ...], Poly]]] = {}
     for c, pad, D in terms:
         for i, p in enumerate(D.entries):
             if p.num:
                 by_entry.setdefault(i, []).append((c, pad, p))
     entries = [Poly.zero(ring)] * ring.nvars
     for i, parts in by_entry.items():
-        den = lcm(*(p.den for _, _, p in parts))
-        num = {}
-        for c, pad, p in parts:
-            k = c * (den // p.den)
-            for e, a in p.num.items():
-                num[e + pad] = a * k
-        entries[i] = _reduced(ring, num, den)
+        entries[i] = _padded_sum(ring, parts)
     return Derivation(ring, tuple(entries))
+
+
+def _split_by_tag(ring: PolyRing, p: Poly, n: int) -> list[Poly]:
+    """The coefficients of t^0, ..., t^(n-1) in p, as polys in ``ring``.
+
+    t is the last generator of p's ring, which is ``ring`` with t appended,
+    and p has degree below n in t.
+    """
+    parts: list[dict] = [{} for _ in range(n)]
+    for e, c in p.num.items():
+        parts[e[-1]][e[:-1]] = c
+    return [_reduced(ring, num, p.den) for num in parts]
 
 
 def check_bracket_table(family: LndFamily) -> bool:
@@ -442,6 +467,15 @@ def annihilator_profile(action: ActionMap,
     v1*D1(f) + v2*D2(f) = 0.  The action enters only through its map,
     not through the derivations that built it, and no probe is
     substituted.
+
+    All probe images come from one apply per tangent derivation.  Append a
+    fresh generator t, tag probe f_k with t^k and apply each D_j, lifted to
+    the larger ring with D_j(t) = 0, to F = sum_k t^k f_k.  By the Leibniz
+    rule D_j(t^k f_k) = t^k D_j(f_k) + k t^(k-1) D_j(t) f_k = t^k D_j(f_k),
+    and D_j(f_k) is free of t, as f_k and the entries of D_j are; so
+    D_j(F) = sum_k t^k D_j(f_k) with the k-th summand exactly the part of
+    D_j(F) of degree k in t.  Splitting D_j(F) by the exponent of t gives
+    each D_j(f_k) as it is.
     """
     basis = family.basis
     i2 = basis.basis_indices[1]
@@ -457,12 +491,18 @@ def annihilator_profile(action: ActionMap,
     tangent = _read_at_zero(action)[1]
     if tangent is None:
         raise InternalInconsistency("an image involves spare parameters")
-    d1, d2 = tangent
+    tagged = PolyRing(ring.names + ("t",))
+    spread = _padded_sum(tagged, [(1, (k,), f)
+                                  for k, (_, f) in enumerate(probes)])
+    d1, d2 = (_graded_sum(tagged, [(1, (0,), d)]) for d in tangent)
+    n = len(probes)
     results = []
     lines = set()
     full = []
-    for label, f in probes:
-        kind, line = _kernel(d1.apply(f), d2.apply(f))
+    for (label, _), a, b in zip(probes,
+                                _split_by_tag(ring, d1.apply(spread), n),
+                                _split_by_tag(ring, d2.apply(spread), n)):
+        kind, line = _kernel(a, b)
         results.append(ProbeResult(label=label, kind=kind, line=line))
         if kind == "line":
             lines.add(line)
@@ -534,13 +574,20 @@ def verification_report(c: Classification, *, box: int = 10,
             checks[f"open_orbit_{label}"] = tangent is not None and \
                 check_open_orbit(*tangent, grading, seed=seed)
         if c.d and c.d >= 1:
-            try:
-                got = distinguish_actions(c)
-                checks["distinguish_actions"] = (
-                    got["normalized"] == ActionClass.NORMALIZED
-                    and got["non_normalized"] == ActionClass.NON_NORMALIZED)
-            except Inconclusive:
+            # a map with no tangent has no profile to read: the group law
+            # and open orbit lines above already fail it
+            if any(_read_at_zero(act)[1] is None
+                   for act in (c.normalized_action, c.non_normalized_action)):
                 checks["distinguish_actions"] = False
+            else:
+                try:
+                    got = distinguish_actions(c)
+                    checks["distinguish_actions"] = (
+                        got["normalized"] == ActionClass.NORMALIZED
+                        and got["non_normalized"]
+                        == ActionClass.NON_NORMALIZED)
+                except Inconclusive:
+                    checks["distinguish_actions"] = False
     else:
         checks["classes_match_wideness"] = c.num_classes == 0
     return {

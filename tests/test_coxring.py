@@ -13,6 +13,7 @@ from toric_additive.additive import (
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
+    Derivation,
     Poly,
     PolyRing,
     TorusChar,
@@ -48,6 +49,7 @@ from toric_additive.errors import (
 from toric_additive.fan import build_fan
 from toric_additive.verify import (
     ActionClass,
+    _read_at_zero,
     annihilator_profile,
     check_group_law,
     classify_profile,
@@ -204,20 +206,37 @@ def test_subs_builds_dense_powers_once(monkeypatch):
     assert count[0] <= n + 2
 
 
-def test_high_d_oracles_in_bounded_products(monkeypatch):
-    # the profile applies the two tangent derivations to the d + 4 probes,
-    # one product per moved generator a probe contains: d + 8 at d = 32;
-    # the group law applies them once to each image, 4 products here
-    c = classify(build_fan(example_fan("f:32")))
-    action = c.non_normalized_action
-    count = _count_products(monkeypatch, 40)
-    report = annihilator_profile(action, c.family)
-    assert count[0] <= 40
-    assert classify_profile(report) == ActionClass.NON_NORMALIZED
-    monkeypatch.undo()
-    count = _count_products(monkeypatch, 40)
-    assert check_group_law(action)
-    assert count[0] <= 40
+def _count_applies(monkeypatch):
+    """Count Derivation.apply calls from here on."""
+    count = [0]
+    apply = Derivation.apply
+
+    def counted(self, p):
+        count[0] += 1
+        return apply(self, p)
+
+    monkeypatch.setattr(Derivation, "apply", counted)
+    return count
+
+
+def test_high_d_oracles_in_counted_applies(monkeypatch):
+    # the profile applies each tangent derivation once, to the d + 4
+    # probes tagged by powers of a fresh t; the group law applies each
+    # once to each image
+    for name in ("f:1", "f:32"):
+        c = classify(build_fan(example_fan(name)))
+        for action, cls in ((c.normalized_action, ActionClass.NORMALIZED),
+                            (c.non_normalized_action,
+                             ActionClass.NON_NORMALIZED)):
+            count = _count_applies(monkeypatch)
+            report = annihilator_profile(action, c.family)
+            assert count[0] == 2
+            assert classify_profile(report) == cls
+            monkeypatch.undo()
+            count = _count_applies(monkeypatch)
+            assert check_group_law(action)
+            assert count[0] == 2 * action.ncoords
+            monkeypatch.undo()
 
 
 def test_substitute_matches_evaluation_at_seeded_points():
@@ -446,6 +465,79 @@ def test_derivation_leibniz():
         a = _random_poly(rng, R3)
         b = _random_poly(rng, R3)
         assert dv.apply(a * b) == dv.apply(a) * b + a * dv.apply(b)
+
+
+def _ref_apply(D, p):
+    """Reference: sum_i D(x_i) * dp/dx_i from diff, products and sums."""
+    out = Poly.zero(p.ring)
+    for i, entry in enumerate(D.entries):
+        out = out + entry * p.diff(i)
+    return out
+
+
+def _ref_apply_terms(entries, p):
+    """The same on exponent tuple -> Fraction dicts."""
+    out = {}
+    for i, entry in enumerate(entries):
+        out = _ref_add(out, _ref_mul(entry, _ref_diff(p, i)))
+    return out
+
+
+def _random_terms(rng, big):
+    """Up to five terms over R3, denominators mixed term by term; with
+    ``big`` some exponents lie near 9000."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(0 if rng.random() < 0.6
+                     else rng.randint(8995, 9000) if big and rng.random() < 0.3
+                     else rng.randint(1, 3)
+                     for _ in range(R3.nvars))
+        den = rng.choice([1, 1, 2, 6, rng.randint(1, 9)])
+        terms[exps] = Fraction(rng.randint(-9, 9), den)
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_apply_matches_per_generator_reference():
+    rng = random.Random(24)
+    cases = [
+        # the two sums cancel: the zeros must be dropped
+        ({0: _p("x2"), 1: _p("-x1")}, _p("x1^2 + x2^2")),
+        # entries over 2 and 3, argument over 5
+        ({0: _p("1/2*x2"), 1: _p("1/3*x1*s1")}, _p("x1^2*x2 + 1/5*x2^3")),
+        ({}, _p("x1*x2 - 3")),
+        ({0: _p("x2")}, Poly.zero(R3)),
+        ({0: _p("x2"), 4: _p("-7/3")}, Poly.const(R3, Fraction(3, 4))),
+        ({1: _p("x3^9000 - 1/9")}, _p("1/2*x2^8999*x1 + x2")),
+    ]
+    for _ in range(300):
+        big = rng.random() < 0.3
+        images = {i: Poly(R3, _random_terms(rng, big))
+                  for i in rng.sample(range(R3.nvars), rng.randint(0, 4))}
+        cases.append((images, Poly(R3, _random_terms(rng, big))))
+    nonzero = 0
+    for images, p in cases:
+        D = derivation(R3, images)
+        got = D.apply(p)
+        assert got == _ref_apply(D, p)
+        _assert_kernel(got, _ref_apply_terms([q.terms for q in D.entries],
+                                             p.terms))
+        nonzero += bool(got.num)
+    assert 150 < nonzero < len(cases)
+
+
+def test_apply_matches_reference_on_family_actions():
+    # every derivation of the family and both tangents, on every image
+    for a in range(1, 33):
+        for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
+            c = classify(build_fan(rays))
+            actions = (c.normalized_action, c.non_normalized_action)
+            derivations = [c.family.delta, *c.family.partials]
+            for act in actions:
+                derivations.extend(_read_at_zero(act)[1])
+            for act in actions:
+                for img in act.images:
+                    for D in derivations:
+                        assert D.apply(img) == _ref_apply(D, img)
 
 
 def test_commutator_golden():

@@ -656,6 +656,23 @@ def test_annihilator_profile_refuses_spare_parameters():
         annihilator_profile(ActionMap(ring=ring, images=images), c.family)
 
 
+def test_report_fails_a_map_with_spare_parameters():
+    # a map with no tangent is a failed check, not a raised error: the
+    # report does not ask the distinguisher for its profile
+    c = _p2_actions()
+    ring = c.family.ring
+    images = tuple(parse_poly(ring, text) for text in
+                   ("x1", "x2 + x3*r1", "x3"))
+    bad = replace(c, non_normalized_action=ActionMap(ring=ring, images=images))
+    rep = verification_report(bad)
+    checks = rep["checks"]
+    assert checks["group_law_non_normalized"] is False
+    assert checks["open_orbit_non_normalized"] is False
+    assert checks["distinguish_actions"] is False
+    assert checks["group_law_normalized"] and checks["bracket_table"]
+    assert rep["all_pass"] is False
+
+
 def test_report_reads_each_action_once(monkeypatch):
     # the identity at zero and the tangent come from one pass per action,
     # shared by the identity line, the group law and the distinguisher
