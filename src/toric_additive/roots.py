@@ -177,27 +177,32 @@ def all_roots(fan: Fan2, basis=None) -> RootSystem:
                       regular_vector=u, positive=pos)
 
 
+def octant_quotients(row: Sequence[int]) -> tuple[int | None, int | None]:
+    """floor(a1 / a2) and floor(a2 / a1) for one octant row (a1, a2).
+
+    A side whose denominator is 0 gets None: that row sets no bound on it.
+    """
+    a1, a2 = row
+    return (a1 // a2 if a2 else None, a2 // a1 if a1 else None)
+
+
 def octant_root_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Expected |R_1|, |R_2| for the basis rays from octant coordinates.
 
     Each row is (a_j1, a_j2) for one non-basis ray, as in
     ``AdmissibleBasis.alpha``.  |R_1| = floor(min_j a_j1 / a_j2) + 1 where
-    rows with a_j2 = 0 impose no bound, and symmetrically for |R_2|.  At
-    least one row must bound each side; otherwise the fan could not be
-    complete.
+    rows with a_j2 = 0 impose no bound, and symmetrically for |R_2|.  floor
+    is monotone, so the floor of the least ratio is the least floor, and
+    |R_1| = 1 + min_j floor(a_j1 / a_j2): each row contributes its
+    ``octant_quotients`` and no ratios are compared.  At least one row must
+    bound each side; otherwise the fan could not be complete.
     """
-    def side(num_col: int, den_col: int) -> int:
-        best: tuple[int, int] | None = None  # ratio as (num, den), den > 0
-        for row in rows:
-            num, den = row[num_col], row[den_col]
-            if den == 0:
-                continue
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den)
-        if best is None:
+    quotients = [octant_quotients(row) for row in rows]
+    counts = []
+    for side in (0, 1):
+        bounds = [q[side] for q in quotients if q[side] is not None]
+        if not bounds:
             raise InternalInconsistency(
                 "no octant row bounds the root interval; fan not complete?")
-        return best[0] // best[1] + 1
-
-    return side(0, 1), side(1, 0)
-
+        counts.append(min(bounds) + 1)
+    return counts[0], counts[1]

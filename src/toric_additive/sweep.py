@@ -9,6 +9,12 @@ carries each chain's admissible pairs down to its fans, so a fan that
 admits no action costs nothing beyond the walk.  The expensive symbolic
 verification runs on the admitting fans afterwards.
 
+The degree parameter d of an admitting fan is read from the same tables.
+Each admissible pool pair keeps two rows indexed by pool member, the
+floor quotients floor(a_1 / a_2) and floor(a_2 / a_1) of its octant
+coordinates, so a basis ray's root count is 1 plus the least entry of its
+row over the fan's rays (see ``roots.octant_root_counts``).
+
 An admissible pair p, q spans a cone of the fan, so the walk tests only
 rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
 with a, b >= 0, uniquely as p, q is a basis, so none is a*p + b*q with
@@ -17,12 +23,14 @@ a, b > 0, strictly inside the cone that p and q span.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Callable, Iterator
 
 from .additive import classify
+from .errors import InternalInconsistency
 from .fan import _angular_cmp, build_fan
 from .lattice import (
     LatticeVec,
@@ -31,7 +39,7 @@ from .lattice import (
     octant_coords,
     unimodular_duals,
 )
-from .roots import octant_root_counts, root_interval
+from .roots import octant_quotients, root_interval
 from .verify import verification_report
 
 Progress = Callable[[str, int], None]
@@ -112,18 +120,29 @@ def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
         yield tuple(pool[i] for i in chain)
 
 
+# a quotient is at most an octant coordinate of a pool member, far below
+# this, so a side still at it after the min over a chain is one that no
+# ray of the chain bounds
+_NO_BOUND = sys.maxsize
+
+
 def _pair_tables(pool: tuple[LatticeVec, ...]):
-    """Per unimodular pool pair: rays that must not appear, and closed sides.
+    """Per unimodular pool pair: rays that must not appear, and quotient rows.
 
     bad[i][j] is a bitmask of pool members outside the closed negative
     octant of (pool[i], pool[j]); a fan containing i and j admits an
     additive action through that pair iff none of its rays hits the mask.
-    coords[i][j] holds the octant coordinates of every pool member inside,
-    for the cheap integer computation of the degree parameter d.
+    quotients[i][j] is two rows indexed by pool member: floor(a_1 / a_2)
+    and floor(a_2 / a_1) (``roots.octant_quotients``) for each member
+    inside with octant coordinates (a_1, a_2), and _NO_BOUND where a
+    denominator is 0 or the member is outside, i and j included.  An
+    admitting fan's chain misses the mask, so the least entry of a row over
+    the chain is that side's least quotient over the non-basis rays, and
+    the basis ray's root count is 1 more (``roots.octant_root_counts``).
     """
     n = len(pool)
     bad: list[list[int | None]] = [[None] * n for _ in range(n)]
-    coords: list[list[dict[int, tuple[int, ...]] | None]] = \
+    quotients: list[list[tuple[list[int], list[int]] | None]] = \
         [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -131,16 +150,18 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
                 continue
             duals = unimodular_duals([pool[i], pool[j]])
             mask = 0
-            inside: dict[int, tuple[int, ...]] = {}
+            rows = ([_NO_BOUND] * n, [_NO_BOUND] * n)
             for k, v in enumerate(pool):
                 a = octant_coords(v, duals)
                 if min(a) >= 0:
                     mask |= 1 << k
-                    inside[k] = a
+                    for row, q in zip(rows, octant_quotients(a)):
+                        if q is not None:
+                            row[k] = q
             full = (1 << n) - 1
             bad[i][j] = full & ~(mask | (1 << i) | (1 << j))
-            coords[i][j] = inside
-    return bad, coords
+            quotients[i][j] = rows
+    return bad, quotients
 
 
 @dataclass
@@ -200,16 +221,22 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     The light phase (timed as t_enumerate_light) decides existence for every
     fan by integer arithmetic during the walk, tallies the class statistics,
-    checks that the degree parameter d is independent of the admitting pair
-    used to compute it, and confirms the closed-form basis-ray root counts
-    against a direct interval enumeration.  The heavy phase re-runs the full
-    symbolic pipeline plus all verification oracles on every heavy_stride-th
-    admitting fan and on the sampled non-admitting fans; only a heavy sweep
-    keeps the admitting fans for it.
+    and confirms the closed-form basis-ray root counts of the fan's first
+    admissible pair against a direct interval enumeration.  Those counts
+    are 1 plus one ``min`` per side over the pair's quotient rows (see
+    ``_pair_tables``), with d = max(|R_1|, |R_2|) - 1.  A fan with more
+    than one admissible pair also gets the d of the others, to check that d
+    is independent of the pair used to compute it.  The heavy phase re-runs
+    the full symbolic pipeline plus all verification oracles on every
+    heavy_stride-th admitting fan and on every nonadmitting_stride-th
+    non-admitting fan; only a heavy sweep keeps these fans for it.
 
     The interval enumeration depends only on a basis ray and its two
     neighbours, so it runs once per (prev, ray, next) triple of pool
     indices and is kept for the rest of the light phase.
+
+    Raises InternalInconsistency when no ray of an admitting fan bounds a
+    side of its pair's quotient rows; the fan could not be complete.
 
     Raises ValueError, before any work, when bound < 1, min_rays < 3,
     max_rays < min_rays, a stride is below 1 or box < 0.  The first three
@@ -224,7 +251,16 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
             raise ValueError(f"{name} must be at least {floor}; got {value}")
     report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     pool = primitive_pool(bound)
-    bad, coords = _pair_tables(pool)
+    bad, quotients = _pair_tables(pool)
+
+    def least_quotients(i: int, j: int, chain: list[int]) -> tuple[int, int]:
+        r1, r2 = quotients[i][j]
+        q1 = min(map(r1.__getitem__, chain))
+        q2 = min(map(r2.__getitem__, chain))
+        if q1 == _NO_BOUND or q2 == _NO_BOUND:
+            raise InternalInconsistency(
+                "no octant row bounds the root interval; fan not complete?")
+        return q1, q2
 
     t0 = time.perf_counter()
     admitting_fans: list[tuple[tuple[LatticeVec, ...], int]] = []
@@ -235,21 +271,24 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     interval_sizes: dict[tuple[int, int, int], int] = {}
     for chain, pairs in _walk(pool, min_rays, max_rays, bad):
         if not pairs:
-            if nonadmitting_seen % nonadmitting_stride == 0:
+            if heavy and nonadmitting_seen % nonadmitting_stride == 0:
                 nonadmitting_picks.append(tuple(pool[k] for k in chain))
             nonadmitting_seen += 1
             continue
-        pairs = sorted(pairs)
-        counts = [octant_root_counts([coords[i][j][k] for k in chain
-                                      if k != i and k != j])
-                  for i, j, _ in pairs]
-        degrees = [max(n1, n2) - 1 for n1, n2 in counts]
-        d = degrees[0]
-        if any(x != d for x in degrees):
-            report.record_violation(
-                "d_depends_on_basis",
-                {"rays": tuple(pool[k] for k in chain), "degrees": degrees})
-        (i, j, _), (n1, n2) = pairs[0], counts[0]
+        if len(pairs) > 1:
+            pairs = sorted(pairs)
+        i, j, _ = pairs[0]
+        q1, q2 = least_quotients(i, j, chain)
+        # d = max(|R_1|, |R_2|) - 1 = max(q1, q2)
+        d = max(q1, q2)
+        if len(pairs) > 1:
+            degrees = [d] + [max(least_quotients(i2, j2, chain))
+                             for i2, j2, _ in pairs[1:]]
+            if any(x != d for x in degrees):
+                report.record_violation(
+                    "d_depends_on_basis",
+                    {"rays": tuple(pool[k] for k in chain),
+                     "degrees": degrees})
         # chains run counterclockwise, so a ray's neighbours sit beside it
         m = len(chain)
         got = []
@@ -260,11 +299,11 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                 _, _, lo, hi = root_interval(*(pool[k] for k in key))
                 size = interval_sizes[key] = max(hi - lo + 1, 0)
             got.append(size)
-        if got[0] != n1 or got[1] != n2:
+        if got[0] != q1 + 1 or got[1] != q2 + 1:
             report.record_violation(
                 "root_count_mismatch",
                 {"rays": tuple(pool[k] for k in chain),
-                 "closed_form": (n1, n2), "interval": tuple(got)})
+                 "closed_form": (q1 + 1, q2 + 1), "interval": tuple(got)})
         d_histogram[d] = d_histogram.get(d, 0) + 1
         if heavy:
             admitting_fans.append((tuple(pool[k] for k in chain), d))

@@ -133,6 +133,8 @@ def test_04_brute_force_root_oracle(sweep2, sweep3):
     # exhaustive over every admitting fan at bound 2, sampled at bound 3;
     # the oracle also certifies that no enumerated root escapes the box
     assert sweep2.heavy_checked == sweep2.admitting == 3325
+    # every 5th of the 8,071 non-admitting fans, the first one included
+    assert sweep2.nonadmitting_sampled == 1615
     for r in (sweep2, sweep3):
         assert r.violation_counts.get("verification", 0) == 0, \
             r.violations.get("verification")

@@ -8,7 +8,7 @@ import toric_additive.roots
 from toric_additive.additive import classify, find_admissible_basis
 from toric_additive.catalog import example_fan
 from toric_additive.cli import main
-from toric_additive.errors import NotRegular
+from toric_additive.errors import InternalInconsistency, NotRegular
 from toric_additive.fan import adjacent, build_fan
 from toric_additive.lattice import pairing, solve_pairing_line, vneg, xgcd
 from toric_additive.roots import (
@@ -211,6 +211,50 @@ def test_no_positive_system_without_basis():
     rs = all_roots(fan)
     assert rs.regular_vector is None
     assert rs.positive is None
+
+
+def _ratio_root_counts(rows):
+    """Reference: the least exact ratio per side, by cross-multiplying."""
+    def side(num_col, den_col):
+        best = None  # ratio as (num, den), den > 0
+        for row in rows:
+            num, den = row[num_col], row[den_col]
+            if den == 0:
+                continue
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+        if best is None:
+            raise InternalInconsistency("no octant row bounds this side")
+        return best[0] // best[1] + 1
+
+    return side(0, 1), side(1, 0)
+
+
+def test_octant_root_counts_match_exact_ratio_reference():
+    # small entries make zero denominators and tied quotients common
+    rng = random.Random(25)
+    raised = 0
+    for _ in range(3000):
+        rows = [(rng.randint(0, 9), rng.randint(0, 9) * rng.randint(0, 1))
+                for _ in range(rng.randint(0, 5))]
+        rows = [r[::-1] if rng.randint(0, 1) else r for r in rows]
+        try:
+            want = _ratio_root_counts(rows)
+        except InternalInconsistency:
+            raised += 1
+            with pytest.raises(InternalInconsistency):
+                octant_root_counts(rows)
+            continue
+        assert octant_root_counts(rows) == want, rows
+    assert 0 < raised < 3000
+
+
+@pytest.mark.parametrize("rows", [[], [(0, 0)], [(3, 0)], [(0, 2), (0, 5)],
+                                  [(0, 0), (4, 0)]])
+def test_octant_root_counts_raise_when_a_side_is_unbounded(rows):
+    for counts in (_ratio_root_counts, octant_root_counts):
+        with pytest.raises(InternalInconsistency):
+            counts(rows)
 
 
 def test_closed_form_counts_match_enumeration():

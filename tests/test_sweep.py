@@ -1,10 +1,12 @@
 """The incremental depth-first walk behind the exhaustive sweep."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from toric_additive import sweep
+from toric_additive.errors import InternalInconsistency
 from toric_additive.lattice import det2
 from toric_additive.roots import root_interval
 from toric_additive.sweep import (
@@ -152,6 +154,45 @@ def test_root_interval_runs_once_per_triple(monkeypatch):
     monkeypatch.setattr(sweep, "root_interval", counted)
     assert run_sweep(bound=2, heavy=False).all_clean
     assert len(calls) == len(set(calls)) == 292
+
+
+def test_d_depends_on_basis_fires(monkeypatch):
+    # raising every quotient of one pair raises the d it gives by 1, so
+    # each fan that carries it beside another pair disagrees with itself
+    bad, _ = _pair_tables(POOL2)
+    shared = Counter()
+    multi = 0
+    for _, pairs in _walk(POOL2, 3, 6, bad):
+        if len(pairs) > 1:
+            multi += 1
+            shared.update((i, j) for i, j, _ in pairs)
+    assert multi == 133
+    (i, j), want = shared.most_common(1)[0]
+
+    def shifted(pool):
+        bad, quotients = _pair_tables(pool)
+        quotients[i][j] = tuple([q if q == sweep._NO_BOUND else q + 1
+                                 for q in row] for row in quotients[i][j])
+        return bad, quotients
+
+    monkeypatch.setattr(sweep, "_pair_tables", shifted)
+    r = run_sweep(bound=2, heavy=False)
+    assert r.violation_counts["d_depends_on_basis"] == want > 0
+
+
+def test_light_loop_refuses_an_unbounded_side(monkeypatch):
+    # the sentinel of a side that no ray bounds must never read as a count
+    def unbounded(pool):
+        bad, quotients = _pair_tables(pool)
+        for by_j in quotients:
+            for rows in by_j:
+                if rows is not None:
+                    rows[1][:] = [sweep._NO_BOUND] * len(pool)
+        return bad, quotients
+
+    monkeypatch.setattr(sweep, "_pair_tables", unbounded)
+    with pytest.raises(InternalInconsistency, match="no octant row bounds"):
+        run_sweep(bound=2, heavy=False)
 
 
 @pytest.mark.parametrize("kwargs,name", [
