@@ -19,6 +19,24 @@ An admissible pair p, q spans a cone of the fan, so the walk tests only
 rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
 with a, b >= 0, uniquely as p, q is a basis, so none is a*p + b*q with
 a, b > 0, strictly inside the cone that p and q span.
+
+Most fans admit no action, and most fans are leaves: chains of max_rays
+rays.  A chain one ray short of max_rays decides all its closing leaves
+at once with bitmasks.  With L the mask of the last ray's closing
+successors, leaf k admits exactly when one of these holds:
+
+- bit k is missing from the AND of the bad masks of the chain's pairs,
+  so some pair survives ray k (the leaves A = L & ~AND);
+- its new pair (last, k) has a table whose mask misses the chain;
+- its closing pair (start, k) has a table whose mask misses the chain.
+
+A pair table never forbids its own rays, so testing a new pair against
+the chain's mask with or without bit k gives the same answer, and the
+rule sees exactly the pairs that the fan-by-fan walk finds.  Only the
+leaves with a table shared with the last ray or the first one need the
+last two tests.  The other popcount(L) - popcount(A) leaves admit
+nothing.  The light phase lets the walk count them, and the chains that
+close with no pair, and never gets a non-admitting fan in its loop.
 """
 
 from __future__ import annotations
@@ -55,7 +73,7 @@ def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
 
 
 def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
-          bad: list[list[int | None]]
+          bad: list[list[int | None]], tally: list[int] | None = None
           ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
     """Depth-first walk over the complete fans of the pool.
 
@@ -67,20 +85,44 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
     new pair (chain[-1], k); a fan also gets its closing pair (chain[0], k),
     in the yielded list only, which is valid until the next step.
 
+    With a tally, only the fans with pairs (the admitting ones) are
+    yielded, and tally[0] grows by the number of the others, once per
+    first ray.  The chains one ray short of max_rays decide all their
+    closing leaves at once by the leaf rule of the module docstring.
+
     The walk is one loop over an explicit stack of frames, each holding
     the iterator over the candidates left, and the chain's mask, pairs and
-    length once extended.  Fans come out in depth-first order: by first
-    ray, then lexicographically, a chain before its extensions.
+    length once extended.  The leaves of a chain one ray short of max_rays
+    are handled inline, with no frame.  Fans come out in depth-first
+    order: by first ray, then lexicographically, a chain before its
+    extensions.
     """
+    if max_rays < min_rays:
+        # no length fits; the inline leaves do not test min_rays
+        return
     n = len(pool)
     cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
     succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
     bits = [1 << k for k in range(n)]
+    counting = tally is not None
+    if counting:
+        # bad with -1 for a missing table: a mask that hits every chain
+        hit = [[-1 if b is None else b for b in row] for row in bad]
 
     for start in range(n):
         closes = [cr[k][start] > 0 for k in range(n)]
         # the last ray of a longest chain is only worth adding if it closes
         closing_succ = [[k for k in s if closes[k]] for s in succ]
+        if counting:
+            closing_mask = [sum(map(bits.__getitem__, s))
+                            for s in closing_succ]
+            # per last ray, the leaves that a new or a closing pair could
+            # admit, with the masks of both pairs
+            testable = [[(bits[k], hit[last][k], hit[start][k])
+                         for k in closing_succ[last]
+                         if bad[last][k] is not None
+                         or bad[start][k] is not None] for last in range(n)]
+        skipped = 0
         chain = [start]
         stack = []
         cands, mask, pairs, depth = iter(succ[start]), bits[start], [], 2
@@ -95,20 +137,55 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
                 chain.append(k)
                 if depth >= min_rays and closes[k]:
                     b = bad[start][k]
-                    yield chain, (kept + [(start, k, b)]
-                                  if b is not None and not b & grown else kept)
-                if depth < max_rays:
+                    fan_pairs = (kept + [(start, k, b)]
+                                 if b is not None and not b & grown else kept)
+                    if fan_pairs or not counting:
+                        yield chain, fan_pairs
+                    else:
+                        skipped += 1
+                if depth + 1 < max_rays:
                     stack.append((cands, mask, pairs, depth))
-                    cands = iter(succ[k] if depth + 1 < max_rays
-                                 else closing_succ[k])
+                    cands = iter(succ[k])
                     mask, pairs, depth = grown, kept, depth + 1
                     break
+                if depth < max_rays:
+                    # the closing leaves of chain, each of max_rays rays
+                    leaves = closing_succ[k]
+                    if counting:
+                        # leaf j admits through a kept pair iff some kept
+                        # mask misses bit j, i.e. j is not in their AND
+                        common = -1
+                        for p in kept:
+                            common &= p[2]
+                        admit = closing_mask[k] & ~common
+                        for leaf_bit, new_bad, closing_bad in testable[k]:
+                            if not new_bad & grown or not closing_bad & grown:
+                                admit |= leaf_bit
+                        skipped += len(leaves) - admit.bit_count()
+                        leaves = ([j for j in leaves if admit & bits[j]]
+                                  if admit else ())
+                    for j in leaves:
+                        leaf_bit = bits[j]
+                        leaf_mask = grown | leaf_bit
+                        leaf_pairs = ([p for p in kept if not p[2] & leaf_bit]
+                                      if kept else [])
+                        b = bad[k][j]
+                        if b is not None and not b & leaf_mask:
+                            leaf_pairs.append((k, j, b))
+                        b = bad[start][j]
+                        if b is not None and not b & leaf_mask:
+                            leaf_pairs.append((start, j, b))
+                        chain.append(j)
+                        yield chain, leaf_pairs
+                        chain.pop()
                 chain.pop()
             else:
                 if not stack:
                     break
                 chain.pop()
                 cands, mask, pairs, depth = stack.pop()
+        if counting:
+            tally[0] += skipped
 
 
 def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
@@ -231,6 +308,16 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     heavy_stride-th admitting fan and on every nonadmitting_stride-th
     non-admitting fan; only a heavy sweep keeps these fans for it.
 
+    A light sweep never hands a non-admitting fan to its loop: the walk
+    counts them.  A chain one ray short of max_rays decides its closing
+    leaves at once.  Leaf k admits iff bit k is outside the AND of the
+    chain's pairs' bad masks, or its new pair (last, k) or its closing
+    pair (start, k) has a table whose mask misses the chain.  This is
+    exact because a pair table never forbids its own rays, so the chain's
+    mask with or without bit k gives the same answer (see the module
+    docstring).  A heavy sweep gets every fan, to sample the
+    non-admitting ones in walk order.
+
     The interval enumeration depends only on a basis ray and its two
     neighbours, so it runs once per (prev, ray, next) triple of pool
     indices and is kept for the rest of the light phase.
@@ -264,16 +351,19 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     t0 = time.perf_counter()
     admitting_fans: list[tuple[tuple[LatticeVec, ...], int]] = []
-    nonadmitting_seen = 0
+    # the non-admitting fans: the walk counts them in a light sweep, and a
+    # heavy sweep, which samples them, gets each one and counts it here
+    nonadmitting = [0]
     nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
     d_histogram: dict[int, int] = {}
     # (prev, ray, next) pool indices -> number of roots of the middle ray
     interval_sizes: dict[tuple[int, int, int], int] = {}
-    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
+    for chain, pairs in _walk(pool, min_rays, max_rays, bad,
+                              None if heavy else nonadmitting):
         if not pairs:
-            if heavy and nonadmitting_seen % nonadmitting_stride == 0:
+            if nonadmitting[0] % nonadmitting_stride == 0:
                 nonadmitting_picks.append(tuple(pool[k] for k in chain))
-            nonadmitting_seen += 1
+            nonadmitting[0] += 1
             continue
         if len(pairs) > 1:
             pairs = sorted(pairs)
@@ -308,13 +398,13 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         if heavy:
             admitting_fans.append((tuple(pool[k] for k in chain), d))
     report.admitting = sum(d_histogram.values())
-    report.total_fans = report.admitting + nonadmitting_seen
+    report.total_fans = report.admitting + nonadmitting[0]
     report.wide = d_histogram.get(0, 0)
     report.d_histogram = d_histogram
     # a fan with d = 0 has one class, any other admitting fan two
     report.num_classes_counts = {
         k: v for k, v in ((1, report.wide), (2, report.admitting - report.wide),
-                          (0, nonadmitting_seen)) if v}
+                          (0, nonadmitting[0])) if v}
     report.t_enumerate_light = time.perf_counter() - t0
     if progress:
         progress("light", report.total_fans)

@@ -52,7 +52,8 @@ def _recursive_walk(pool, min_rays, max_rays, bad):
         yield from extend(start, bits[start], [], 2)
 
 
-@pytest.mark.parametrize("min_rays,max_rays", [(3, 6), (3, 4), (5, 8)])
+@pytest.mark.parametrize("min_rays,max_rays",
+                         [(3, 6), (3, 4), (5, 8), (3, 3), (8, 8)])
 def test_walk_matches_recursive_reference(min_rays, max_rays):
     bad, _ = _pair_tables(POOL2)
     got = [(tuple(chain), sorted(pairs))
@@ -60,6 +61,12 @@ def test_walk_matches_recursive_reference(min_rays, max_rays):
     want = [(tuple(chain), sorted(pairs)) for chain, pairs in
             _recursive_walk(POOL2, min_rays, max_rays, bad)]
     assert got == want
+    # with a tally: the admitting fans in the same order, the rest counted
+    tally = [0]
+    got = [(tuple(chain), sorted(pairs))
+           for chain, pairs in _walk(POOL2, min_rays, max_rays, bad, tally)]
+    assert got == [fan for fan in want if fan[1]]
+    assert tally[0] == len(want) - len(got) > 0
 
 
 def test_walk_sequence_at_bound_3_is_pinned():
@@ -70,15 +77,26 @@ def test_walk_sequence_at_bound_3_is_pinned():
     pool = primitive_pool(3)
     bad, _ = _pair_tables(pool)
     digest = hashlib.sha256()
+    admitting = hashlib.sha256()
     count = 0
     for chain, pairs in _walk(pool, 3, 6, bad):
         digest.update(bytes((len(chain), *chain)))
         if pairs:
             digest.update(repr(sorted(pairs)).encode())
+            admitting.update(bytes((len(chain), *chain)))
+            admitting.update(repr(sorted(pairs)).encode())
         count += 1
     assert count == 928712
     assert digest.hexdigest() == \
         "ea79a8f9004c6644affbf877c9040ecfb23e8f9189afd6234bb528b9d9649ba6"
+    # the tallied walk yields the same admitting fans and counts the rest
+    tallied = hashlib.sha256()
+    tally = [0]
+    for chain, pairs in _walk(pool, 3, 6, bad, tally):
+        tallied.update(bytes((len(chain), *chain)))
+        tallied.update(repr(sorted(pairs)).encode())
+    assert tallied.hexdigest() == admitting.hexdigest()
+    assert tally[0] == 807663
 
 
 @pytest.mark.parametrize("min_rays,max_rays", [(3, 6), (3, 4), (5, 8)])
