@@ -2,41 +2,27 @@
 
 The pool consists of all primitive vectors with coordinates bounded by a
 constant, sorted by angle.  Complete fans are exactly the ascending index
-chains whose consecutive rays (cyclically) span less than a half turn, so a
-depth-first walk enumerates each fan once.  Existence of an additive action
-is decided from precomputed pair tables in integer arithmetic: the walk
-carries each chain's admissible pairs down to its fans, so a fan that
-admits no action costs nothing beyond the walk.  The expensive symbolic
-verification runs on the admitting fans afterwards.
+chains whose consecutive rays (cyclically) span less than a half turn: a
+dynamic programme counts them by length, and a depth-first walk enumerates
+each one.
 
-The degree parameter d of an admitting fan is read from the same tables.
-Each admissible pool pair keeps two rows indexed by pool member, the
-floor quotients floor(a_1 / a_2) and floor(a_2 / a_1) of its octant
-coordinates, so a basis ray's root count is 1 plus the least entry of its
-row over the fan's rays (see ``roots.octant_root_counts``).
+A fan admits an additive action exactly when two of its rays p, q form a
+lattice basis whose closed negative octant, the cone of -p and -q, holds
+every other ray.  So the admitting fans are p, q and any pool members of
+that octant other than a lone -p or -q (a half-turn gap), and the light
+phase generates them from the unimodular pool pairs, never looking at the
+other fans.  The expensive symbolic verification runs afterwards.
+
+The degree parameter d of an admitting fan is read from pair tables in
+integer arithmetic: each admissible pool pair keeps two rows indexed by
+pool member, the floor quotients floor(a_1 / a_2) and floor(a_2 / a_1) of
+its octant coordinates, so a basis ray's root count is 1 plus the least
+entry of its row over the fan's rays (see ``roots.octant_root_counts``).
 
 An admissible pair p, q spans a cone of the fan, so the walk tests only
 rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
 with a, b >= 0, uniquely as p, q is a basis, so none is a*p + b*q with
 a, b > 0, strictly inside the cone that p and q span.
-
-Most fans admit no action, and most fans are leaves: chains of max_rays
-rays.  A chain one ray short of max_rays decides all its closing leaves
-at once with bitmasks.  With L the mask of the last ray's closing
-successors, leaf k admits exactly when one of these holds:
-
-- bit k is missing from the AND of the bad masks of the chain's pairs,
-  so some pair survives ray k (the leaves A = L & ~AND);
-- its new pair (last, k) has a table whose mask misses the chain;
-- its closing pair (start, k) has a table whose mask misses the chain.
-
-A pair table never forbids its own rays, so testing a new pair against
-the chain's mask with or without bit k gives the same answer, and the
-rule sees exactly the pairs that the fan-by-fan walk finds.  Only the
-leaves with a table shared with the last ray or the first one need the
-last two tests.  The other popcount(L) - popcount(A) leaves admit
-nothing.  The light phase lets the walk count them, and the chains that
-close with no pair, and never gets a non-admitting fan in its loop.
 """
 
 from __future__ import annotations
@@ -45,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import combinations, islice
 from typing import Callable, Iterator
 
 from .additive import classify
@@ -73,7 +60,7 @@ def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
 
 
 def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
-          bad: list[list[int | None]], tally: list[int] | None = None
+          bad: list[list[int | None]]
           ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
     """Depth-first walk over the complete fans of the pool.
 
@@ -85,44 +72,20 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
     new pair (chain[-1], k); a fan also gets its closing pair (chain[0], k),
     in the yielded list only, which is valid until the next step.
 
-    With a tally, only the fans with pairs (the admitting ones) are
-    yielded, and tally[0] grows by the number of the others, once per
-    first ray.  The chains one ray short of max_rays decide all their
-    closing leaves at once by the leaf rule of the module docstring.
-
     The walk is one loop over an explicit stack of frames, each holding
     the iterator over the candidates left, and the chain's mask, pairs and
-    length once extended.  The leaves of a chain one ray short of max_rays
-    are handled inline, with no frame.  Fans come out in depth-first
-    order: by first ray, then lexicographically, a chain before its
-    extensions.
+    length once extended.  Fans come out in depth-first order: by first
+    ray, then lexicographically, a chain before its extensions.
     """
-    if max_rays < min_rays:
-        # no length fits; the inline leaves do not test min_rays
-        return
     n = len(pool)
     cr = [[det2(pool[i], pool[j]) for j in range(n)] for i in range(n)]
     succ = [[j for j in range(i + 1, n) if cr[i][j] > 0] for i in range(n)]
     bits = [1 << k for k in range(n)]
-    counting = tally is not None
-    if counting:
-        # bad with -1 for a missing table: a mask that hits every chain
-        hit = [[-1 if b is None else b for b in row] for row in bad]
 
     for start in range(n):
         closes = [cr[k][start] > 0 for k in range(n)]
         # the last ray of a longest chain is only worth adding if it closes
         closing_succ = [[k for k in s if closes[k]] for s in succ]
-        if counting:
-            closing_mask = [sum(map(bits.__getitem__, s))
-                            for s in closing_succ]
-            # per last ray, the leaves that a new or a closing pair could
-            # admit, with the masks of both pairs
-            testable = [[(bits[k], hit[last][k], hit[start][k])
-                         for k in closing_succ[last]
-                         if bad[last][k] is not None
-                         or bad[start][k] is not None] for last in range(n)]
-        skipped = 0
         chain = [start]
         stack = []
         cands, mask, pairs, depth = iter(succ[start]), bits[start], [], 2
@@ -137,55 +100,20 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
                 chain.append(k)
                 if depth >= min_rays and closes[k]:
                     b = bad[start][k]
-                    fan_pairs = (kept + [(start, k, b)]
-                                 if b is not None and not b & grown else kept)
-                    if fan_pairs or not counting:
-                        yield chain, fan_pairs
-                    else:
-                        skipped += 1
-                if depth + 1 < max_rays:
+                    yield chain, (kept + [(start, k, b)]
+                                  if b is not None and not b & grown else kept)
+                if depth < max_rays:
                     stack.append((cands, mask, pairs, depth))
-                    cands = iter(succ[k])
+                    cands = iter(succ[k] if depth + 1 < max_rays
+                                 else closing_succ[k])
                     mask, pairs, depth = grown, kept, depth + 1
                     break
-                if depth < max_rays:
-                    # the closing leaves of chain, each of max_rays rays
-                    leaves = closing_succ[k]
-                    if counting:
-                        # leaf j admits through a kept pair iff some kept
-                        # mask misses bit j, i.e. j is not in their AND
-                        common = -1
-                        for p in kept:
-                            common &= p[2]
-                        admit = closing_mask[k] & ~common
-                        for leaf_bit, new_bad, closing_bad in testable[k]:
-                            if not new_bad & grown or not closing_bad & grown:
-                                admit |= leaf_bit
-                        skipped += len(leaves) - admit.bit_count()
-                        leaves = ([j for j in leaves if admit & bits[j]]
-                                  if admit else ())
-                    for j in leaves:
-                        leaf_bit = bits[j]
-                        leaf_mask = grown | leaf_bit
-                        leaf_pairs = ([p for p in kept if not p[2] & leaf_bit]
-                                      if kept else [])
-                        b = bad[k][j]
-                        if b is not None and not b & leaf_mask:
-                            leaf_pairs.append((k, j, b))
-                        b = bad[start][j]
-                        if b is not None and not b & leaf_mask:
-                            leaf_pairs.append((start, j, b))
-                        chain.append(j)
-                        yield chain, leaf_pairs
-                        chain.pop()
                 chain.pop()
             else:
                 if not stack:
                     break
                 chain.pop()
                 cands, mask, pairs, depth = stack.pop()
-        if counting:
-            tally[0] += skipped
 
 
 def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
@@ -195,6 +123,76 @@ def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
     no_pairs = [[None] * len(pool)] * len(pool)
     for chain, _ in _walk(pool, min_rays, max_rays, no_pairs):
         yield tuple(pool[i] for i in chain)
+
+
+def _count_fans(pool: tuple[LatticeVec, ...], min_rays: int,
+                max_rays: int) -> int:
+    """Number of complete fans of the pool with min_rays to max_rays rays.
+
+    A dynamic programme over (first ray, last ray): per first ray, ways[k]
+    counts the ascending chains of the current length that end at k with
+    det > 0 between consecutive rays, and those whose closing pair (k,
+    first) has det > 0 too are fans.  Lengths stop at len(pool).
+    """
+    n = len(pool)
+    pred = [[j for j in range(k) if det2(pool[j], pool[k]) > 0]
+            for k in range(n)]
+    total = 0
+    for start in range(n):
+        closing = [k for k in range(start + 1, n)
+                   if det2(pool[k], pool[start]) > 0]
+        ways = [0] * n
+        ways[start] = 1
+        for length in range(2, min(max_rays, n) + 1):
+            ways = [sum(map(ways.__getitem__, p)) for p in pred]
+            if length >= min_rays:
+                total += sum(map(ways.__getitem__, closing))
+    return total
+
+
+def _admitting_fans(pool: tuple[LatticeVec, ...], min_rays: int,
+                    max_rays: int, bad: list[list[int | None]]
+                    ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
+    """The admitting fans of the pool, generated from their admissible pairs.
+
+    Yields (chain, pairs) as ``_walk`` does, once per admitting fan, with
+    pairs ascending.  The fans through a pair i < j with a table are i, j
+    and each subset T of its octant (the pool members outside bad[i][j],
+    but i and j) with min_rays - 2 <= |T| <= max_rays - 2, so at most
+    len(pool) rays, save a lone -pool[i] or -pool[j].  Another pair a < c
+    admits such a fan iff it holds a and c, and i, j and T miss bad[a][c];
+    these few T are listed per pair up front, and a fan is yielded only
+    from its least admissible pair, so exactly once.
+    """
+    n = len(pool)
+    index = {v: k for k, v in enumerate(pool)}
+    tables = [(i, j, bad[i][j]) for i in range(n) for j in range(i + 1, n)
+              if bad[i][j] is not None]
+    for i, j, b in tables:
+        octant = [k for k in range(n) if not b >> k & 1 and k not in (i, j)]
+        # T -> the other pairs that admit the fan
+        others: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+        for a, c, t in tables:
+            if (a, c) == (i, j) or b & (1 << a | 1 << c) \
+                    or t & (1 << i | 1 << j):
+                continue
+            forced = [k for k in (a, c) if k not in (i, j)]
+            free = [k for k in octant if not t >> k & 1 and k not in forced]
+            for size in range(min(len(free), max_rays - 2) + 1):
+                for more in combinations(free, size):
+                    others.setdefault(tuple(sorted(forced + list(more))),
+                                      []).append((a, c, t))
+        lone = {(index[(-x, -y)],) for x, y in (pool[i], pool[j])}
+        only = (i, j, b)
+        for size in range(min_rays - 2, min(max_rays - 2, len(octant)) + 1):
+            for rest in combinations(octant, size):
+                if size == 1 and rest in lone:
+                    continue
+                more = others.get(rest)
+                if more is None:
+                    yield sorted((i, j) + rest), [only]
+                elif min(more) > only:
+                    yield sorted((i, j) + rest), sorted([only] + more)
 
 
 # a quotient is at most an octant coordinate of a pool member, far below
@@ -296,38 +294,35 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
               progress: Progress | None = None) -> SweepReport:
     """Enumerate all complete fans from the pool and cross-check them.
 
-    The light phase (timed as t_enumerate_light) decides existence for every
-    fan by integer arithmetic during the walk, tallies the class statistics,
-    and confirms the closed-form basis-ray root counts of the fan's first
-    admissible pair against a direct interval enumeration.  Those counts
-    are 1 plus one ``min`` per side over the pair's quotient rows (see
-    ``_pair_tables``), with d = max(|R_1|, |R_2|) - 1.  A fan with more
-    than one admissible pair also gets the d of the others, to check that d
-    is independent of the pair used to compute it.  The heavy phase re-runs
-    the full symbolic pipeline plus all verification oracles on every
-    heavy_stride-th admitting fan and on every nonadmitting_stride-th
-    non-admitting fan; only a heavy sweep keeps these fans for it.
+    The light phase (timed as t_enumerate_light) counts the fans
+    (``_count_fans``), generates the admitting ones (``_admitting_fans``),
+    tallies the class statistics, and confirms the closed-form basis-ray
+    root counts of each fan's least admissible pair against a direct
+    interval enumeration.  Those counts are 1 plus one ``min`` per side
+    over the pair's quotient rows (see ``_pair_tables``), with
+    d = max(|R_1|, |R_2|) - 1.  A fan with more than one admissible pair
+    also gets the d of the others, to check that d is independent of the
+    pair used to compute it.  The other fans admit no action.
 
-    A light sweep never hands a non-admitting fan to its loop: the walk
-    counts them.  A chain one ray short of max_rays decides its closing
-    leaves at once.  Leaf k admits iff bit k is outside the AND of the
-    chain's pairs' bad masks, or its new pair (last, k) or its closing
-    pair (start, k) has a table whose mask misses the chain.  This is
-    exact because a pair table never forbids its own rays, so the chain's
-    mask with or without bit k gives the same answer (see the module
-    docstring).  A heavy sweep gets every fan, to sample the
-    non-admitting ones in walk order.
+    The heavy phase first walks every fan, an independent route whose
+    admitting and non-admitting counts must equal the light phase's, and
+    keeps every nonadmitting_stride-th non-admitting fan.  It then re-runs
+    the full symbolic pipeline plus all verification oracles on these and
+    on every heavy_stride-th admitting fan, generated again, not kept.
 
     The interval enumeration depends only on a basis ray and its two
     neighbours, so it runs once per (prev, ray, next) triple of pool
     indices and is kept for the rest of the light phase.
 
     Raises InternalInconsistency when no ray of an admitting fan bounds a
-    side of its pair's quotient rows; the fan could not be complete.
+    side of its pair's quotient rows, as the fan could not be complete, or
+    when the walk's counts differ from the light phase's.
 
     Raises ValueError, before any work, when bound < 1, min_rays < 3,
-    max_rays < min_rays, a stride is below 1 or box < 0.  The first three
-    select no fans, and an empty sweep would read as clean.
+    max_rays < min_rays, a stride is below 1 or box < 0, and before the
+    sweep when min_rays exceeds the pool size.  These select no fans, and
+    an empty sweep would read as clean.  Every length from 3 to the pool
+    size has fans, since any superset of a complete fan's rays is complete.
     """
     for name, value, least in (
             ("bound", bound, 1), ("min_rays", min_rays, 3),
@@ -336,8 +331,11 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         if value < least:
             floor = f"min_rays = {least}" if name == "max_rays" else least
             raise ValueError(f"{name} must be at least {floor}; got {value}")
-    report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     pool = primitive_pool(bound)
+    if min_rays > len(pool):
+        raise ValueError(f"min_rays must be at most the pool size "
+                         f"{len(pool)} at bound {bound}; got {min_rays}")
+    report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     bad, quotients = _pair_tables(pool)
 
     def least_quotients(i: int, j: int, chain: list[int]) -> tuple[int, int]:
@@ -350,23 +348,11 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         return q1, q2
 
     t0 = time.perf_counter()
-    admitting_fans: list[tuple[tuple[LatticeVec, ...], int]] = []
-    # the non-admitting fans: the walk counts them in a light sweep, and a
-    # heavy sweep, which samples them, gets each one and counts it here
-    nonadmitting = [0]
-    nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
+    report.total_fans = _count_fans(pool, min_rays, max_rays)
     d_histogram: dict[int, int] = {}
     # (prev, ray, next) pool indices -> number of roots of the middle ray
     interval_sizes: dict[tuple[int, int, int], int] = {}
-    for chain, pairs in _walk(pool, min_rays, max_rays, bad,
-                              None if heavy else nonadmitting):
-        if not pairs:
-            if nonadmitting[0] % nonadmitting_stride == 0:
-                nonadmitting_picks.append(tuple(pool[k] for k in chain))
-            nonadmitting[0] += 1
-            continue
-        if len(pairs) > 1:
-            pairs = sorted(pairs)
+    for chain, pairs in _admitting_fans(pool, min_rays, max_rays, bad):
         i, j, _ = pairs[0]
         q1, q2 = least_quotients(i, j, chain)
         # d = max(|R_1|, |R_2|) - 1 = max(q1, q2)
@@ -395,16 +381,14 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                 {"rays": tuple(pool[k] for k in chain),
                  "closed_form": (q1 + 1, q2 + 1), "interval": tuple(got)})
         d_histogram[d] = d_histogram.get(d, 0) + 1
-        if heavy:
-            admitting_fans.append((tuple(pool[k] for k in chain), d))
     report.admitting = sum(d_histogram.values())
-    report.total_fans = report.admitting + nonadmitting[0]
+    nonadmitting = report.total_fans - report.admitting
     report.wide = d_histogram.get(0, 0)
     report.d_histogram = d_histogram
     # a fan with d = 0 has one class, any other admitting fan two
     report.num_classes_counts = {
         k: v for k, v in ((1, report.wide), (2, report.admitting - report.wide),
-                          (0, nonadmitting[0])) if v}
+                          (0, nonadmitting)) if v}
     report.t_enumerate_light = time.perf_counter() - t0
     if progress:
         progress("light", report.total_fans)
@@ -420,9 +404,22 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
                 "verification", {"rays": rays, "failing": failing})
 
     t1 = time.perf_counter()
-    for pos, (rays, d_light) in enumerate(admitting_fans):
-        if pos % heavy_stride:
-            continue
+    walked = [0, 0]  # non-admitting and admitting fans
+    nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
+    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
+        if not pairs and walked[0] % nonadmitting_stride == 0:
+            nonadmitting_picks.append(tuple(pool[k] for k in chain))
+        walked[bool(pairs)] += 1
+    if walked != [nonadmitting, report.admitting]:
+        raise InternalInconsistency(
+            f"the walk finds {walked[1]} admitting and {walked[0]} "
+            f"non-admitting fans, the light phase {report.admitting} and "
+            f"{nonadmitting}")
+    for chain, pairs in islice(_admitting_fans(pool, min_rays, max_rays, bad),
+                               0, None, heavy_stride):
+        rays = tuple(pool[k] for k in chain)
+        i, j, _ = pairs[0]
+        d_light = max(least_quotients(i, j, chain))
         c = classify(build_fan(rays))
         report.heavy_checked += 1
         if not c.admits_action or c.d != d_light:

@@ -391,6 +391,14 @@ def test_sweep_small(capsys, monkeypatch):
     assert doc["heavy_checked"] == 0
 
 
+def test_sweep_with_more_rays_than_the_pool_is_an_error(capsys):
+    # bound 1 has 8 pool rays, so no fan has 9; an empty sweep is no pass
+    code, out, err = run_cli(capsys, "sweep", "--bound", "1", "--min-rays",
+                             "9", "--max-rays", "9", "--light")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: min_rays ")
+
+
 def _subprocess_env():
     """Environment in which a child process imports the same
     ``toric_additive`` package as this process, whatever the cwd."""

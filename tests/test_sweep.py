@@ -1,4 +1,4 @@
-"""The incremental depth-first walk behind the exhaustive sweep."""
+"""The walk, the fan count and the admitting-fan generator of the sweep."""
 
 import hashlib
 from collections import Counter
@@ -10,6 +10,8 @@ from toric_additive.errors import InternalInconsistency
 from toric_additive.lattice import det2
 from toric_additive.roots import root_interval
 from toric_additive.sweep import (
+    _admitting_fans,
+    _count_fans,
     _pair_tables,
     _walk,
     enumerate_complete_fans,
@@ -61,12 +63,14 @@ def test_walk_matches_recursive_reference(min_rays, max_rays):
     want = [(tuple(chain), sorted(pairs)) for chain, pairs in
             _recursive_walk(POOL2, min_rays, max_rays, bad)]
     assert got == want
-    # with a tally: the admitting fans in the same order, the rest counted
-    tally = [0]
-    got = [(tuple(chain), sorted(pairs))
-           for chain, pairs in _walk(POOL2, min_rays, max_rays, bad, tally)]
-    assert got == [fan for fan in want if fan[1]]
-    assert tally[0] == len(want) - len(got) > 0
+    # the generator: the admitting fans once each, in any order
+    generated = [(tuple(chain), sorted(pairs)) for chain, pairs in
+                 _admitting_fans(POOL2, min_rays, max_rays, bad)]
+    admitting = [fan for fan in want if fan[1]]
+    assert len(generated) == len({chain for chain, _ in generated})
+    assert sorted(generated) == sorted(admitting)
+    assert 0 < len(admitting) < len(want) == _count_fans(POOL2, min_rays,
+                                                         max_rays)
 
 
 def test_walk_sequence_at_bound_3_is_pinned():
@@ -77,26 +81,23 @@ def test_walk_sequence_at_bound_3_is_pinned():
     pool = primitive_pool(3)
     bad, _ = _pair_tables(pool)
     digest = hashlib.sha256()
-    admitting = hashlib.sha256()
+    admitting = []
     count = 0
     for chain, pairs in _walk(pool, 3, 6, bad):
         digest.update(bytes((len(chain), *chain)))
         if pairs:
             digest.update(repr(sorted(pairs)).encode())
-            admitting.update(bytes((len(chain), *chain)))
-            admitting.update(repr(sorted(pairs)).encode())
+            admitting.append((tuple(chain), sorted(pairs)))
         count += 1
     assert count == 928712
     assert digest.hexdigest() == \
         "ea79a8f9004c6644affbf877c9040ecfb23e8f9189afd6234bb528b9d9649ba6"
-    # the tallied walk yields the same admitting fans and counts the rest
-    tallied = hashlib.sha256()
-    tally = [0]
-    for chain, pairs in _walk(pool, 3, 6, bad, tally):
-        tallied.update(bytes((len(chain), *chain)))
-        tallied.update(repr(sorted(pairs)).encode())
-    assert tallied.hexdigest() == admitting.hexdigest()
-    assert tally[0] == 807663
+    # the generator yields the same admitting fans, and the count agrees
+    generated = sorted((tuple(chain), sorted(pairs)) for chain, pairs in
+                       _admitting_fans(pool, 3, 6, bad))
+    assert generated == sorted(admitting)
+    assert len(generated) == 121049
+    assert _count_fans(pool, 3, 6) == 928712
 
 
 @pytest.mark.parametrize("min_rays,max_rays", [(3, 6), (3, 4), (5, 8)])
@@ -231,3 +232,32 @@ def test_run_sweep_rejects_out_of_range_arguments(monkeypatch, kwargs, name):
     monkeypatch.setattr(sweep, "_walk", refuse)
     with pytest.raises(ValueError, match=f"^{name} .*got {kwargs[name]}$"):
         run_sweep(**kwargs)
+
+
+def test_heavy_sweep_refuses_a_count_the_walk_disagrees_with(monkeypatch):
+    monkeypatch.setattr(sweep, "_count_fans",
+                        lambda *args: _count_fans(*args) + 1)
+    with pytest.raises(InternalInconsistency, match="the walk finds "
+                       "3325 admitting and 8071 non-admitting fans"):
+        run_sweep(bound=2, heavy=True, heavy_stride=10**6,
+                  nonadmitting_stride=10**6)
+
+
+def test_run_sweep_rejects_more_rays_than_the_pool_holds():
+    # bound 1 has 8 pool rays; every length from 3 to 8 has fans
+    assert run_sweep(bound=1, min_rays=8, max_rays=8, heavy=False) \
+        .total_fans == 1
+    with pytest.raises(ValueError,
+                       match="^min_rays must be at most the pool size 8 "
+                             "at bound 1; got 9$"):
+        run_sweep(bound=1, min_rays=9, max_rays=9, heavy=False)
+
+
+def test_chain_lengths_stop_at_the_pool_size():
+    # bound 2 has 16 pool rays, so no fan has more
+    timing = ("t_enumerate_light", "t_heavy", "max_rays")
+    capped, huge = (
+        {k: v for k, v in run_sweep(bound=2, max_rays=m, heavy=False)
+         .to_json().items() if k not in timing} for m in (16, 10**6))
+    assert capped == huge
+    assert capped["total_fans"] > 11396
