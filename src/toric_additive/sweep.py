@@ -19,6 +19,18 @@ pool member, the floor quotients floor(a_1 / a_2) and floor(a_2 / a_1) of
 its octant coordinates, so a basis ray's root count is 1 plus the least
 entry of its row over the fan's rays (see ``roots.octant_root_counts``).
 
+Per pair, the light phase walks the subsets T of the octant in
+counterclockwise order, from the ray after the pair round to the ray
+before it, carrying the running minima q1, q2 of the pair's two rows over
+T and T's first and last ray, the pair's other neighbours in the fan.  A
+fan's light checks read nothing else: d = max(q1, q2), and the direct
+root enumeration of a basis ray reads that ray and its two neighbours.
+So a fan costs one step of the walk and one increment of its key (first,
+last, q1, q2), and after the pair each check runs once per key and counts
+with the key's multiplicity, which is the same as running it on every
+fan.  A fan with a second admissible pair also gets a check of its own,
+that each pair gives the same d.
+
 An admissible pair p, q spans a cone of the fan, so the walk tests only
 rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
 with a, b >= 0, uniquely as p, q is a basis, so none is a*p + b*q with
@@ -31,7 +43,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .additive import classify
@@ -48,6 +60,10 @@ from .roots import octant_quotients, root_interval
 from .verify import verification_report
 
 Progress = Callable[[str, int], None]
+# an admissible pair (i, j, bad[i][j]), and a generated fan: its key
+# (first, last, q1, q2), its mask and its other admissible pairs
+_Pair = tuple[int, int, int]
+_Fan = tuple[tuple[int, int, int, int], int, tuple[_Pair, ...]]
 
 
 def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
@@ -151,48 +167,113 @@ def _count_fans(pool: tuple[LatticeVec, ...], min_rays: int,
 
 
 def _admitting_fans(pool: tuple[LatticeVec, ...], min_rays: int,
-                    max_rays: int, bad: list[list[int | None]]
-                    ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
+                    max_rays: int, bad: list[list[int | None]],
+                    quotients: list[list[tuple[list[int], list[int]] | None]]
+                    ) -> Iterator[tuple[int, int, Iterator[_Fan]]]:
     """The admitting fans of the pool, generated from their admissible pairs.
 
-    Yields (chain, pairs) as ``_walk`` does, once per admitting fan, with
-    pairs ascending.  The fans through a pair i < j with a table are i, j
-    and each subset T of its octant (the pool members outside bad[i][j],
-    but i and j) with min_rays - 2 <= |T| <= max_rays - 2, so at most
-    len(pool) rays, save a lone -pool[i] or -pool[j].  Another pair a < c
-    admits such a fan iff it holds a and c, and i, j and T miss bad[a][c];
-    these few T are listed per pair up front, and a fan is yielded only
-    from its least admissible pair, so exactly once.
+    Yields (i, j, fans) once per pool pair i < j with a table.  The fans
+    through it are i, j and each subset T of its octant (the pool members
+    outside bad[i][j], but i and j) with min_rays - 2 <= |T| <= max_rays - 2,
+    so at most len(pool) rays, save a lone -pool[i] or -pool[j].  Another
+    pair a < c admits such a fan iff it holds a and c, and i, j and T miss
+    bad[a][c]; these few T are listed per pair up front, and fans yields a
+    fan only if (i, j) is its least admissible pair, so each fan comes out
+    exactly once.  See ``_octant_fans`` for what fans yields.
     """
     n = len(pool)
     index = {v: k for k, v in enumerate(pool)}
+    lo, hi = min_rays - 2, min(max_rays, n) - 2
     tables = [(i, j, bad[i][j]) for i in range(n) for j in range(i + 1, n)
               if bad[i][j] is not None]
     for i, j, b in tables:
-        octant = [k for k in range(n) if not b >> k & 1 and k not in (i, j)]
-        # T -> the other pairs that admit the fan
-        others: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+        # counterclockwise the fan reads i, j, T or j, i, T
+        after = (range(j + 1, n), range(i)) if det2(pool[i], pool[j]) > 0 \
+            else (range(i + 1, j),)
+        octant = [k for part in after for k in part if not b >> k & 1]
+        base = 1 << i | 1 << j
+        # a fan's mask -> its pairs but (i, j), ascending as tables are, or
+        # None when a lesser pair admits it
+        shared: dict[int, list[_Pair]] = {}
         for a, c, t in tables:
-            if (a, c) == (i, j) or b & (1 << a | 1 << c) \
-                    or t & (1 << i | 1 << j):
+            if (a, c) == (i, j) or b & (1 << a | 1 << c) or t & base:
                 continue
             forced = [k for k in (a, c) if k not in (i, j)]
             free = [k for k in octant if not t >> k & 1 and k not in forced]
-            for size in range(min(len(free), max_rays - 2) + 1):
+            for size in range(min(len(free), hi - len(forced)) + 1):
                 for more in combinations(free, size):
-                    others.setdefault(tuple(sorted(forced + list(more))),
-                                      []).append((a, c, t))
-        lone = {(index[(-x, -y)],) for x, y in (pool[i], pool[j])}
-        only = (i, j, b)
-        for size in range(min_rays - 2, min(max_rays - 2, len(octant)) + 1):
-            for rest in combinations(octant, size):
-                if size == 1 and rest in lone:
-                    continue
-                more = others.get(rest)
-                if more is None:
-                    yield sorted((i, j) + rest), [only]
-                elif min(more) > only:
-                    yield sorted((i, j) + rest), sorted([only] + more)
+                    mask = base
+                    for k in forced + list(more):
+                        mask |= 1 << k
+                    shared.setdefault(mask, []).append((a, c, t))
+        others = {mask: tuple(pairs) if pairs[0][:2] > (i, j) else None
+                  for mask, pairs in shared.items()}
+        lone = {index[(-x, -y)] for x, y in (pool[i], pool[j])}
+        r1, r2 = quotients[i][j]
+        yield i, j, _octant_fans(octant, r1, r2, base, lo, hi, lone, others)
+
+
+def _octant_fans(octant: list[int], r1: list[int], r2: list[int], base: int,
+                 lo: int, hi: int, lone: set[int],
+                 others: dict[int, tuple[_Pair, ...] | None]
+                 ) -> Iterator[_Fan]:
+    """One pair's fans, from the subsets T of its octant with lo to hi rays.
+
+    Yields ((first, last, q1, q2), mask, more) per fan.  first and last
+    are T's first and last ray in the octant's order, counterclockwise from
+    the ray after the pair round to the ray before it, so they are the
+    pair's other neighbours in the fan.  q1 and q2 are the least entries
+    of the quotient rows r1 and r2 over T; mask has the fan's bits, base
+    being the pair's; more is others[mask], the fan's other admissible
+    pairs, or () when there are none.  A fan that others maps to None, and
+    a lone ray of ``lone``, is skipped.
+
+    The walk is one loop over an explicit stack of frames: T grows by one
+    later octant ray per step and carries its running minima, so a fan
+    costs one step whatever its size.
+    """
+    items = [(k, r1[k], r2[k], 1 << k, t + 1) for t, k in enumerate(octant)]
+    tails = [items[t:] for t in range(len(items) + 1)]
+    for first, q1, q2, mask, nxt in items:
+        mask |= base
+        if lo <= 1 and first not in lone:
+            more = others.get(mask, ())
+            if more is not None:
+                yield (first, first, q1, q2), mask, more
+        if hi < 2:
+            continue
+        stack = []
+        cands, size = iter(tails[nxt]), 2
+        while True:
+            for k, a, c, bit, nxt in cands:
+                if a > q1:
+                    a = q1
+                if c > q2:
+                    c = q2
+                grown = mask | bit
+                if size >= lo:
+                    more = others.get(grown, ())
+                    if more is not None:
+                        yield (first, k, a, c), grown, more
+                if size < hi:
+                    stack.append((cands, q1, q2, mask, size))
+                    cands = iter(tails[nxt])
+                    q1, q2, mask, size = a, c, grown, size + 1
+                    break
+            else:
+                if not stack:
+                    break
+                cands, q1, q2, mask, size = stack.pop()
+
+
+def _chain(mask: int) -> list[int]:
+    """The pool indices of a fan's mask, ascending."""
+    chain = []
+    while mask:
+        low = mask & -mask
+        chain.append(low.bit_length() - 1)
+        mask ^= low
+    return chain
 
 
 # a quotient is at most an octant coordinate of a pool member, far below
@@ -260,8 +341,10 @@ class SweepReport:
     def all_clean(self) -> bool:
         return not self.violation_counts
 
-    def record_violation(self, kind: str, detail, cap: int = 10) -> None:
-        self.violation_counts[kind] = self.violation_counts.get(kind, 0) + 1
+    def record_violation(self, kind: str, detail, cap: int = 10,
+                         count: int = 1) -> None:
+        """Count count violations of kind; keep detail, which names one."""
+        self.violation_counts[kind] = self.violation_counts.get(kind, 0) + count
         bucket = self.violations.setdefault(kind, [])
         if len(bucket) < cap:
             bucket.append(detail)
@@ -298,17 +381,24 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     (``_count_fans``), generates the admitting ones (``_admitting_fans``),
     tallies the class statistics, and confirms the closed-form basis-ray
     root counts of each fan's least admissible pair against a direct
-    interval enumeration.  Those counts are 1 plus one ``min`` per side
-    over the pair's quotient rows (see ``_pair_tables``), with
-    d = max(|R_1|, |R_2|) - 1.  A fan with more than one admissible pair
-    also gets the d of the others, to check that d is independent of the
-    pair used to compute it.  The other fans admit no action.
+    interval enumeration.  Those counts are 1 plus the least entry of each
+    of the pair's quotient rows (see ``_pair_tables``) over the fan's rays,
+    with d = max(|R_1|, |R_2|) - 1.  The walk of each pair's octant carries
+    these minima, so a fan arrives with its key (first, last, q1, q2):
+    the pair's other two neighbours and the minima.  Both checks read only
+    the key, so each runs once per key, after the pair, and counts its
+    fans with the key's multiplicity; a reported violation names the
+    first fan of its key.  A fan with more than one admissible pair also
+    gets the d of the others, fan by fan, to check that d is independent
+    of the pair used to compute it.  The other fans admit no action.
 
     The heavy phase first walks every fan, an independent route whose
     admitting and non-admitting counts must equal the light phase's, and
     keeps every nonadmitting_stride-th non-admitting fan.  It then re-runs
     the full symbolic pipeline plus all verification oracles on these and
     on every heavy_stride-th admitting fan, generated again, not kept.
+    The walk's admitting fans must also be the generator's: the sums of
+    their chains' hashes agree mod 2**64, which keeps no list.
 
     The interval enumeration depends only on a basis ray and its two
     neighbours, so it runs once per (prev, ray, next) triple of pool
@@ -316,7 +406,8 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     Raises InternalInconsistency when no ray of an admitting fan bounds a
     side of its pair's quotient rows, as the fan could not be complete, or
-    when the walk's counts differ from the light phase's.
+    when the walk's counts or admitting fans differ from the light
+    phase's.
 
     Raises ValueError, before any work, when bound < 1, min_rays < 3,
     max_rays < min_rays, a stride is below 1 or box < 0, and before the
@@ -338,49 +429,69 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     bad, quotients = _pair_tables(pool)
 
+    def bounded(q1: int, q2: int) -> None:
+        if q1 == _NO_BOUND or q2 == _NO_BOUND:
+            raise InternalInconsistency(
+                "no octant row bounds the root interval; fan not complete?")
+
     def least_quotients(i: int, j: int, chain: list[int]) -> tuple[int, int]:
         r1, r2 = quotients[i][j]
         q1 = min(map(r1.__getitem__, chain))
         q2 = min(map(r2.__getitem__, chain))
-        if q1 == _NO_BOUND or q2 == _NO_BOUND:
-            raise InternalInconsistency(
-                "no octant row bounds the root interval; fan not complete?")
+        bounded(q1, q2)
         return q1, q2
+
+    def interval_size(triple: tuple[int, int, int]) -> int:
+        size = interval_sizes.get(triple)
+        if size is None:
+            _, _, lo, hi = root_interval(*(pool[k] for k in triple))
+            size = interval_sizes[triple] = max(hi - lo + 1, 0)
+        return size
+
+    def rays_of(mask: int) -> tuple[LatticeVec, ...]:
+        return tuple(pool[k] for k in _chain(mask))
 
     t0 = time.perf_counter()
     report.total_fans = _count_fans(pool, min_rays, max_rays)
     d_histogram: dict[int, int] = {}
     # (prev, ray, next) pool indices -> number of roots of the middle ray
     interval_sizes: dict[tuple[int, int, int], int] = {}
-    for chain, pairs in _admitting_fans(pool, min_rays, max_rays, bad):
-        i, j, _ = pairs[0]
-        q1, q2 = least_quotients(i, j, chain)
-        # d = max(|R_1|, |R_2|) - 1 = max(q1, q2)
-        d = max(q1, q2)
-        if len(pairs) > 1:
-            degrees = [d] + [max(least_quotients(i2, j2, chain))
-                             for i2, j2, _ in pairs[1:]]
-            if any(x != d for x in degrees):
+    for i, j, fans in _admitting_fans(pool, min_rays, max_rays, bad,
+                                      quotients):
+        # (first, last, q1, q2) -> number of fans, and the first of them
+        tally: dict[tuple[int, int, int, int], int] = {}
+        witness: dict[tuple[int, int, int, int], int] = {}
+        for key, mask, more in fans:
+            n = tally.get(key)
+            if n is None:
+                tally[key] = 1
+                witness[key] = mask
+            else:
+                tally[key] = n + 1
+            if more:
+                chain = _chain(mask)
+                degrees = [max(key[2:])] + [
+                    max(least_quotients(i2, j2, chain)) for i2, j2, _ in more]
+                if any(x != degrees[0] for x in degrees):
+                    report.record_violation(
+                        "d_depends_on_basis",
+                        {"rays": rays_of(mask), "degrees": degrees})
+        # counterclockwise the fan reads a, b, first, ..., last
+        a, b = (i, j) if det2(pool[i], pool[j]) > 0 else (j, i)
+        for (first, last, q1, q2), count in tally.items():
+            bounded(q1, q2)
+            # d = max(|R_1|, |R_2|) - 1 = max(q1, q2)
+            d = max(q1, q2)
+            d_histogram[d] = d_histogram.get(d, 0) + count
+            size = {a: interval_size((last, a, b)),
+                    b: interval_size((a, b, first))}
+            got = (size[i], size[j])
+            if got != (q1 + 1, q2 + 1):
                 report.record_violation(
-                    "d_depends_on_basis",
-                    {"rays": tuple(pool[k] for k in chain),
-                     "degrees": degrees})
-        # chains run counterclockwise, so a ray's neighbours sit beside it
-        m = len(chain)
-        got = []
-        for pos in (chain.index(i), chain.index(j)):
-            key = (chain[pos - 1], chain[pos], chain[(pos + 1) % m])
-            size = interval_sizes.get(key)
-            if size is None:
-                _, _, lo, hi = root_interval(*(pool[k] for k in key))
-                size = interval_sizes[key] = max(hi - lo + 1, 0)
-            got.append(size)
-        if got[0] != q1 + 1 or got[1] != q2 + 1:
-            report.record_violation(
-                "root_count_mismatch",
-                {"rays": tuple(pool[k] for k in chain),
-                 "closed_form": (q1 + 1, q2 + 1), "interval": tuple(got)})
-        d_histogram[d] = d_histogram.get(d, 0) + 1
+                    "root_count_mismatch",
+                    {"rays": rays_of(witness[first, last, q1, q2]),
+                     "closed_form": (q1 + 1, q2 + 1), "interval": got},
+                    count=count)
     report.admitting = sum(d_histogram.values())
     nonadmitting = report.total_fans - report.admitting
     report.wide = d_histogram.get(0, 0)
@@ -405,9 +516,13 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     t1 = time.perf_counter()
     walked = [0, 0]  # non-admitting and admitting fans
+    # order-free digests of the admitting fans: sums of their chains' hashes
+    walked_digest = generated_digest = 0
     nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
     for chain, pairs in _walk(pool, min_rays, max_rays, bad):
-        if not pairs and walked[0] % nonadmitting_stride == 0:
+        if pairs:
+            walked_digest += hash(tuple(chain))
+        elif walked[0] % nonadmitting_stride == 0:
             nonadmitting_picks.append(tuple(pool[k] for k in chain))
         walked[bool(pairs)] += 1
     if walked != [nonadmitting, report.admitting]:
@@ -415,11 +530,15 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
             f"the walk finds {walked[1]} admitting and {walked[0]} "
             f"non-admitting fans, the light phase {report.admitting} and "
             f"{nonadmitting}")
-    for chain, pairs in islice(_admitting_fans(pool, min_rays, max_rays, bad),
-                               0, None, heavy_stride):
+    generated = (fan for _, _, fans in _admitting_fans(
+        pool, min_rays, max_rays, bad, quotients) for fan in fans)
+    for n, ((_, _, q1, q2), mask, _) in enumerate(generated):
+        chain = tuple(_chain(mask))
+        generated_digest += hash(chain)
+        if n % heavy_stride:
+            continue
         rays = tuple(pool[k] for k in chain)
-        i, j, _ = pairs[0]
-        d_light = max(least_quotients(i, j, chain))
+        d_light = max(q1, q2)
         c = classify(build_fan(rays))
         report.heavy_checked += 1
         if not c.admits_action or c.d != d_light:
@@ -430,6 +549,9 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         verify_fan(rays, c)
         if progress and report.heavy_checked % 200 == 0:
             progress("heavy", report.heavy_checked)
+    if (walked_digest - generated_digest) % 2**64:
+        raise InternalInconsistency(
+            "the walk's admitting fans differ from the generator's")
     for rays in nonadmitting_picks:
         report.nonadmitting_sampled += 1
         c = classify(build_fan(rays), with_actions=False)

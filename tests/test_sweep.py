@@ -11,6 +11,7 @@ from toric_additive.lattice import det2
 from toric_additive.roots import root_interval
 from toric_additive.sweep import (
     _admitting_fans,
+    _chain,
     _count_fans,
     _pair_tables,
     _walk,
@@ -20,6 +21,30 @@ from toric_additive.sweep import (
 )
 
 POOL2 = primitive_pool(2)
+
+
+def _generated(pool, min_rays, max_rays):
+    """(chain, pairs) per fan from the generator, as the walk yields them.
+
+    Also checks each fan's key against its chain: first and last are the
+    other neighbours of the pair's second and first ray counterclockwise,
+    and q1, q2 the least entries of the pair's rows over the whole chain.
+    """
+    bad, quotients = _pair_tables(pool)
+    fans = []
+    for i, j, pair_fans in _admitting_fans(pool, min_rays, max_rays, bad,
+                                           quotients):
+        for (first, last, q1, q2), mask, more in pair_fans:
+            chain = _chain(mask)
+            m = len(chain)
+            a, b = (i, j) if det2(pool[i], pool[j]) > 0 else (j, i)
+            assert chain[(chain.index(b) + 1) % m] == first
+            assert chain[chain.index(a) - 1] == last
+            r1, r2 = quotients[i][j]
+            assert (q1, q2) == (min(r1[k] for k in chain),
+                                min(r2[k] for k in chain))
+            fans.append((tuple(chain), sorted([(i, j, bad[i][j]), *more])))
+    return fans
 
 
 def _recursive_walk(pool, min_rays, max_rays, bad):
@@ -64,8 +89,7 @@ def test_walk_matches_recursive_reference(min_rays, max_rays):
             _recursive_walk(POOL2, min_rays, max_rays, bad)]
     assert got == want
     # the generator: the admitting fans once each, in any order
-    generated = [(tuple(chain), sorted(pairs)) for chain, pairs in
-                 _admitting_fans(POOL2, min_rays, max_rays, bad)]
+    generated = _generated(POOL2, min_rays, max_rays)
     admitting = [fan for fan in want if fan[1]]
     assert len(generated) == len({chain for chain, _ in generated})
     assert sorted(generated) == sorted(admitting)
@@ -93,8 +117,7 @@ def test_walk_sequence_at_bound_3_is_pinned():
     assert digest.hexdigest() == \
         "ea79a8f9004c6644affbf877c9040ecfb23e8f9189afd6234bb528b9d9649ba6"
     # the generator yields the same admitting fans, and the count agrees
-    generated = sorted((tuple(chain), sorted(pairs)) for chain, pairs in
-                       _admitting_fans(pool, 3, 6, bad))
+    generated = sorted(_generated(pool, 3, 6))
     assert generated == sorted(admitting)
     assert len(generated) == 121049
     assert _count_fans(pool, 3, 6) == 928712
@@ -261,3 +284,136 @@ def test_chain_lengths_stop_at_the_pool_size():
          .to_json().items() if k not in timing} for m in (16, 10**6))
     assert capped == huge
     assert capped["total_fans"] > 11396
+
+
+def _per_fan_light(pool, min_rays, max_rays):
+    """Reference: the light report's figures, fan by fan from the walk.
+
+    Each admitting fan takes the min of its least pair's rows over the
+    whole chain and reads the neighbour triples from the sorted chain.
+    Reads ``sweep._pair_tables`` and ``sweep.root_interval`` at call time,
+    so a patch applies to both routes.
+    """
+    bad, quotients = sweep._pair_tables(pool)
+    total = 0
+    histogram, violations = Counter(), Counter()
+    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
+        total += 1
+        if not pairs:
+            continue
+        pairs = sorted(pairs)
+        degrees = []
+        for i, j, _ in pairs:
+            r1, r2 = quotients[i][j]
+            degrees.append((min(r1[k] for k in chain),
+                            min(r2[k] for k in chain)))
+        q1, q2 = degrees[0]
+        histogram[max(q1, q2)] += 1
+        if any(max(q) != max(q1, q2) for q in degrees):
+            violations["d_depends_on_basis"] += 1
+        got = []
+        for ray in pairs[0][:2]:
+            pos = chain.index(ray)
+            triple = (chain[pos - 1], ray, chain[(pos + 1) % len(chain)])
+            _, _, lo, hi = sweep.root_interval(*(pool[k] for k in triple))
+            got.append(max(hi - lo + 1, 0))
+        if got != [q1 + 1, q2 + 1]:
+            violations["root_count_mismatch"] += 1
+    return {"total_fans": total, "admitting": sum(histogram.values()),
+            "d_histogram": dict(histogram),
+            "violation_counts": dict(violations)}
+
+
+def _light(min_rays, max_rays):
+    r = run_sweep(bound=2, min_rays=min_rays, max_rays=max_rays, heavy=False)
+    return r, {"total_fans": r.total_fans, "admitting": r.admitting,
+               "d_histogram": r.d_histogram,
+               "violation_counts": r.violation_counts}
+
+
+@pytest.mark.parametrize("min_rays,max_rays",
+                         [(3, 6), (3, 4), (5, 8), (3, 3), (8, 8)])
+def test_light_report_matches_per_fan_reference(min_rays, max_rays):
+    _, got = _light(min_rays, max_rays)
+    assert got == _per_fan_light(POOL2, min_rays, max_rays)
+    assert got["admitting"] > 0
+
+
+def test_quotient_minima_cover_every_ray_of_the_fan(monkeypatch):
+    # lower one pair's first row at an octant ray that often sits between
+    # the fan's other rays, away from the basis rays: the tallied minima
+    # must see it there too, not only when it is a neighbour
+    bad, _ = _pair_tables(POOL2)
+    octants = {(a, c): [x for x in range(16)
+                        if not bad[a][c] >> x & 1 and x not in (a, c)]
+               for a in range(16) for c in range(a + 1, 16)
+               if bad[a][c] is not None}
+    (i, j), octant = max(octants.items(), key=lambda item: len(item[1]))
+    k = octant[len(octant) // 2]
+
+    def lowered(pool):
+        bad, quotients = _pair_tables(pool)
+        quotients[i][j][0][k] = -1
+        return bad, quotients
+
+    monkeypatch.setattr(sweep, "_pair_tables", lowered)
+    neighbour = inside = 0
+    for chain, pairs in _walk(POOL2, 3, 6, bad):
+        if pairs and min(pairs)[:2] == (i, j) and k in chain:
+            pos = chain.index(k)
+            if {chain[pos - 1], chain[(pos + 1) % len(chain)]} & {i, j}:
+                neighbour += 1
+            else:
+                inside += 1
+    assert neighbour > 0 and inside > 0
+    want = _per_fan_light(POOL2, 3, 6)
+    assert want["violation_counts"]["root_count_mismatch"] == \
+        neighbour + inside
+    assert _light(3, 6)[1] == want
+
+
+def test_violation_witnesses_are_admitting_fans(monkeypatch):
+    def widened(prev, p, nxt):
+        e0, q, lo, hi = root_interval(prev, p, nxt)
+        return e0, q, lo, hi + 1
+
+    monkeypatch.setattr(sweep, "root_interval", widened)
+    bad, quotients = _pair_tables(POOL2)
+    admitting = {tuple(chain): min(pairs)
+                 for chain, pairs in _walk(POOL2, 3, 6, bad) if pairs}
+    index = {v: k for k, v in enumerate(POOL2)}
+    r, _ = _light(3, 6)
+    details = r.violations["root_count_mismatch"]
+    assert len(details) == 10
+    for detail in details:
+        chain = tuple(index[v] for v in detail["rays"])
+        i, j, _ = admitting[chain]
+        r1, r2 = quotients[i][j]
+        q1, q2 = min(r1[k] for k in chain), min(r2[k] for k in chain)
+        assert detail["closed_form"] == (q1 + 1, q2 + 1)
+        assert detail["interval"] == (q1 + 2, q2 + 2)
+
+
+def test_heavy_sweep_refuses_fans_the_walk_does_not_find(monkeypatch):
+    # the same number of fans, one of them swapped for a copy of another
+    # fan of its size: only a comparison of the fans themselves sees it
+    def swapped(*args):
+        first_of_size, dropped = {}, []
+        for i, j, fans in _admitting_fans(*args):
+            yield i, j, swap(fans, first_of_size, dropped)
+
+    def swap(fans, first_of_size, dropped):
+        for key, mask, more in fans:
+            size = bin(mask).count("1")
+            if size in first_of_size and not dropped:
+                dropped.append(mask)
+                mask = first_of_size[size]
+            first_of_size.setdefault(size, mask)
+            yield key, mask, more
+
+    strides = {"heavy_stride": 10**6, "nonadmitting_stride": 10**6}
+    assert run_sweep(bound=2, **strides).all_clean
+    monkeypatch.setattr(sweep, "_admitting_fans", swapped)
+    with pytest.raises(InternalInconsistency, match="the walk's admitting "
+                       "fans differ from the generator's"):
+        run_sweep(bound=2, **strides)
