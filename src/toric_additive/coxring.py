@@ -742,6 +742,14 @@ def lnd_from_root(ring: PolyRing, rays: Sequence[LatticeVec], e: CharVec,
     return derivation(ring, {ray_index: coeff}, char=tuple(e))
 
 
+def _torus_point(t: Sequence) -> list[Fraction]:
+    """The coordinates of a torus point, exact and nonzero."""
+    vals = [_exact(v) for v in t]
+    if any(v == 0 for v in vals):
+        raise ZeroTorusEntry("torus points have nonzero coordinates")
+    return vals
+
+
 @dataclass(frozen=True)
 class TorusChar:
     """Exponent vector of the character scaling a homogeneous derivation."""
@@ -752,11 +760,8 @@ class TorusChar:
         if len(t) != len(self.exponents):
             raise LengthMismatch(f"torus point of length {len(t)} for a "
                                  f"character of length {len(self.exponents)}")
-        vals = [_exact(v) for v in t]
-        if any(v == 0 for v in vals):
-            raise ZeroTorusEntry("torus points have nonzero coordinates")
         out = Fraction(1)
-        for v, k in zip(vals, self.exponents):
+        for v, k in zip(_torus_point(t), self.exponents):
             out *= v ** k
         return out
 
@@ -773,9 +778,7 @@ def torus_conjugate(d: Derivation, t: Sequence) -> Derivation:
 
     Entries beyond len(t) (the group parameters) must be zero.
     """
-    vals = [_exact(v) for v in t]
-    if any(v == 0 for v in vals):
-        raise ZeroTorusEntry("torus points have nonzero coordinates")
+    vals = _torus_point(t)
     ring = d.ring
     moved = [i for i, entry in enumerate(d.entries) if not entry.is_zero]
     if any(i >= len(vals) for i in moved):

@@ -35,6 +35,7 @@ second serves those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -177,13 +178,27 @@ def all_roots(fan: Fan2, basis=None) -> RootSystem:
                       regular_vector=u, positive=pos)
 
 
-def octant_quotients(row: Sequence[int]) -> tuple[int | None, int | None]:
+# a side that no octant row bounds: a float above every int, so no quotient,
+# however large, reads as it
+NO_BOUND = math.inf
+
+
+def bounded(*least: int | float) -> tuple[int, ...]:
+    """least, unless a side is at NO_BOUND: the fan could not be complete."""
+    if NO_BOUND in least:
+        raise InternalInconsistency(
+            "no octant row bounds the root interval; fan not complete?")
+    return least
+
+
+def octant_quotients(row: Sequence[int]) -> tuple[int | float, int | float]:
     """floor(a1 / a2) and floor(a2 / a1) for one octant row (a1, a2).
 
-    A side whose denominator is 0 gets None: that row sets no bound on it.
+    A side whose denominator is 0 gets NO_BOUND: that row sets no bound on
+    it.  The sweep's pair tables store these pairs as they are.
     """
     a1, a2 = row
-    return (a1 // a2 if a2 else None, a2 // a1 if a1 else None)
+    return (a1 // a2 if a2 else NO_BOUND, a2 // a1 if a1 else NO_BOUND)
 
 
 def octant_root_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -198,11 +213,6 @@ def octant_root_counts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     bound each side; otherwise the fan could not be complete.
     """
     quotients = [octant_quotients(row) for row in rows]
-    counts = []
-    for side in (0, 1):
-        bounds = [q[side] for q in quotients if q[side] is not None]
-        if not bounds:
-            raise InternalInconsistency(
-                "no octant row bounds the root interval; fan not complete?")
-        counts.append(min(bounds) + 1)
-    return counts[0], counts[1]
+    q1, q2 = bounded(*(min((q[side] for q in quotients), default=NO_BOUND)
+                       for side in (0, 1)))
+    return q1 + 1, q2 + 1

@@ -28,8 +28,11 @@ root enumeration of a basis ray reads that ray and its two neighbours.
 So a fan costs one step of the walk and one increment of its key (first,
 last, q1, q2), and after the pair each check runs once per key and counts
 with the key's multiplicity, which is the same as running it on every
-fan.  A fan with a second admissible pair also gets a check of its own,
-that each pair gives the same d.
+fan.  Each fan comes out from its least admissible pair alone: the walk
+skips one set of masks, the pair's fans that a lesser pair admits and the
+two lone ones.  The few fans with a second admissible pair come on a list
+of their own beside the walk, and each gets a check that every pair gives
+the same d.
 
 An admissible pair p, q spans a cone of the fan, so the walk tests only
 rays adjacent (cyclically) in the chain: every other ray is -a*p - b*q
@@ -39,7 +42,6 @@ a, b > 0, strictly inside the cone that p and q span.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
@@ -56,14 +58,16 @@ from .lattice import (
     octant_coords,
     unimodular_duals,
 )
-from .roots import octant_quotients, root_interval
+from .roots import NO_BOUND, bounded, octant_quotients, root_interval
 from .verify import verification_report
 
 Progress = Callable[[str, int], None]
 # an admissible pair (i, j, bad[i][j]), and a generated fan: its key
-# (first, last, q1, q2), its mask and its other admissible pairs
+# (first, last, q1, q2) and its mask
 _Pair = tuple[int, int, int]
-_Fan = tuple[tuple[int, int, int, int], int, tuple[_Pair, ...]]
+_Fan = tuple[tuple[int, int, int, int], int]
+# violation details kept per kind; the counts cover them all
+_DETAILS_KEPT = 10
 
 
 def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
@@ -168,18 +172,22 @@ def _count_fans(pool: tuple[LatticeVec, ...], min_rays: int,
 
 def _admitting_fans(pool: tuple[LatticeVec, ...], min_rays: int,
                     max_rays: int, bad: list[list[int | None]],
-                    quotients: list[list[tuple[list[int], list[int]] | None]]
-                    ) -> Iterator[tuple[int, int, Iterator[_Fan]]]:
+                    quotients: list[list[tuple[list, list] | None]]
+                    ) -> Iterator[tuple[int, int, Iterator[_Fan],
+                                        list[tuple[int, list[_Pair]]]]]:
     """The admitting fans of the pool, generated from their admissible pairs.
 
-    Yields (i, j, fans) once per pool pair i < j with a table.  The fans
-    through it are i, j and each subset T of its octant (the pool members
-    outside bad[i][j], but i and j) with min_rays - 2 <= |T| <= max_rays - 2,
-    so at most len(pool) rays, save a lone -pool[i] or -pool[j].  Another
-    pair a < c admits such a fan iff it holds a and c, and i, j and T miss
-    bad[a][c]; these few T are listed per pair up front, and fans yields a
-    fan only if (i, j) is its least admissible pair, so each fan comes out
-    exactly once.  See ``_octant_fans`` for what fans yields.
+    Yields (i, j, fans, multi) once per pool pair i < j with a table.  The
+    fans through it are i, j and each subset T of its octant (the pool
+    members outside bad[i][j], but i and j) with min_rays - 2 <= |T| <=
+    max_rays - 2, so at most len(pool) rays, save a lone -pool[i] or
+    -pool[j].  Another pair a < c admits such a fan iff it holds a and c,
+    and i, j and T miss bad[a][c]; these few T are listed per pair up
+    front.  The masks to skip are the lone fans and those whose least
+    admissible pair is a lesser one, so each fan comes out exactly once,
+    from its least pair; multi lists (mask, other pairs) for the rest of
+    them, the pair's fans with a second admissible pair.  See
+    ``_octant_fans`` for what fans yields.
     """
     n = len(pool)
     index = {v: k for k, v in enumerate(pool)}
@@ -192,58 +200,51 @@ def _admitting_fans(pool: tuple[LatticeVec, ...], min_rays: int,
             else (range(i + 1, j),)
         octant = [k for part in after for k in part if not b >> k & 1]
         base = 1 << i | 1 << j
-        # a fan's mask -> its pairs but (i, j), ascending as tables are, or
-        # None when a lesser pair admits it
+        # a fan's mask -> its pairs but (i, j), ascending as tables are
         shared: dict[int, list[_Pair]] = {}
         for a, c, t in tables:
             if (a, c) == (i, j) or b & (1 << a | 1 << c) or t & base:
                 continue
             forced = [k for k in (a, c) if k not in (i, j)]
             free = [k for k in octant if not t >> k & 1 and k not in forced]
-            for size in range(min(len(free), hi - len(forced)) + 1):
+            for size in range(max(lo - len(forced), 0),
+                              min(len(free), hi - len(forced)) + 1):
                 for more in combinations(free, size):
                     mask = base
                     for k in forced + list(more):
                         mask |= 1 << k
                     shared.setdefault(mask, []).append((a, c, t))
-        others = {mask: tuple(pairs) if pairs[0][:2] > (i, j) else None
-                  for mask, pairs in shared.items()}
-        lone = {index[(-x, -y)] for x, y in (pool[i], pool[j])}
+        skip = {base | 1 << index[(-x, -y)] for x, y in (pool[i], pool[j])}
+        skip.update(mask for mask, pairs in shared.items()
+                    if pairs[0][:2] < (i, j))
+        multi = [(mask, pairs) for mask, pairs in shared.items()
+                 if mask not in skip]
         r1, r2 = quotients[i][j]
-        yield i, j, _octant_fans(octant, r1, r2, base, lo, hi, lone, others)
+        yield i, j, _octant_fans(octant, r1, r2, base, lo, hi, skip), multi
 
 
-def _octant_fans(octant: list[int], r1: list[int], r2: list[int], base: int,
-                 lo: int, hi: int, lone: set[int],
-                 others: dict[int, tuple[_Pair, ...] | None]
-                 ) -> Iterator[_Fan]:
+def _octant_fans(octant: list[int], r1: list, r2: list, base: int, lo: int,
+                 hi: int, skip: set[int]) -> Iterator[_Fan]:
     """One pair's fans, from the subsets T of its octant with lo to hi rays.
 
-    Yields ((first, last, q1, q2), mask, more) per fan.  first and last
-    are T's first and last ray in the octant's order, counterclockwise from
-    the ray after the pair round to the ray before it, so they are the
-    pair's other neighbours in the fan.  q1 and q2 are the least entries
-    of the quotient rows r1 and r2 over T; mask has the fan's bits, base
-    being the pair's; more is others[mask], the fan's other admissible
-    pairs, or () when there are none.  A fan that others maps to None, and
-    a lone ray of ``lone``, is skipped.
+    Yields ((first, last, q1, q2), mask) per fan whose mask is not in
+    skip.  first and last are T's first and last ray in the octant's
+    order, counterclockwise from the ray after the pair round to the ray
+    before it, so they are the pair's other neighbours in the fan.  q1 and
+    q2 are the least entries of the quotient rows r1 and r2 over T; mask
+    has the fan's bits, base being the pair's.
 
-    The walk is one loop over an explicit stack of frames: T grows by one
-    later octant ray per step and carries its running minima, so a fan
-    costs one step whatever its size.
+    The walk is one loop over an explicit stack of frames, started once
+    per first ray as a frame of that ray alone, with minima at NO_BOUND: T
+    grows by one later octant ray per step and carries its running minima,
+    so a fan costs one step whatever its size.
     """
     items = [(k, r1[k], r2[k], 1 << k, t + 1) for t, k in enumerate(octant)]
     tails = [items[t:] for t in range(len(items) + 1)]
-    for first, q1, q2, mask, nxt in items:
-        mask |= base
-        if lo <= 1 and first not in lone:
-            more = others.get(mask, ())
-            if more is not None:
-                yield (first, first, q1, q2), mask, more
-        if hi < 2:
-            continue
+    for t, first in enumerate(octant):
         stack = []
-        cands, size = iter(tails[nxt]), 2
+        cands, mask, size = iter(items[t:t + 1]), base, 1
+        q1 = q2 = NO_BOUND
         while True:
             for k, a, c, bit, nxt in cands:
                 if a > q1:
@@ -251,10 +252,8 @@ def _octant_fans(octant: list[int], r1: list[int], r2: list[int], base: int,
                 if c > q2:
                     c = q2
                 grown = mask | bit
-                if size >= lo:
-                    more = others.get(grown, ())
-                    if more is not None:
-                        yield (first, k, a, c), grown, more
+                if size >= lo and grown not in skip:
+                    yield (first, k, a, c), grown
                 if size < hi:
                     stack.append((cands, q1, q2, mask, size))
                     cands = iter(tails[nxt])
@@ -276,12 +275,6 @@ def _chain(mask: int) -> list[int]:
     return chain
 
 
-# a quotient is at most an octant coordinate of a pool member, far below
-# this, so a side still at it after the min over a chain is one that no
-# ray of the chain bounds
-_NO_BOUND = sys.maxsize
-
-
 def _pair_tables(pool: tuple[LatticeVec, ...]):
     """Per unimodular pool pair: rays that must not appear, and quotient rows.
 
@@ -290,15 +283,15 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
     additive action through that pair iff none of its rays hits the mask.
     quotients[i][j] is two rows indexed by pool member: floor(a_1 / a_2)
     and floor(a_2 / a_1) (``roots.octant_quotients``) for each member
-    inside with octant coordinates (a_1, a_2), and _NO_BOUND where a
-    denominator is 0 or the member is outside, i and j included.  An
+    inside with octant coordinates (a_1, a_2), and ``roots.NO_BOUND`` where
+    a denominator is 0 or the member is outside, i and j included.  An
     admitting fan's chain misses the mask, so the least entry of a row over
     the chain is that side's least quotient over the non-basis rays, and
     the basis ray's root count is 1 more (``roots.octant_root_counts``).
     """
     n = len(pool)
     bad: list[list[int | None]] = [[None] * n for _ in range(n)]
-    quotients: list[list[tuple[list[int], list[int]] | None]] = \
+    quotients: list[list[tuple[list, list] | None]] = \
         [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -306,17 +299,15 @@ def _pair_tables(pool: tuple[LatticeVec, ...]):
                 continue
             duals = unimodular_duals([pool[i], pool[j]])
             mask = 0
-            rows = ([_NO_BOUND] * n, [_NO_BOUND] * n)
+            r1, r2 = [NO_BOUND] * n, [NO_BOUND] * n
             for k, v in enumerate(pool):
                 a = octant_coords(v, duals)
                 if min(a) >= 0:
                     mask |= 1 << k
-                    for row, q in zip(rows, octant_quotients(a)):
-                        if q is not None:
-                            row[k] = q
+                    r1[k], r2[k] = octant_quotients(a)
             full = (1 << n) - 1
             bad[i][j] = full & ~(mask | (1 << i) | (1 << j))
-            quotients[i][j] = rows
+            quotients[i][j] = r1, r2
     return bad, quotients
 
 
@@ -341,12 +332,11 @@ class SweepReport:
     def all_clean(self) -> bool:
         return not self.violation_counts
 
-    def record_violation(self, kind: str, detail, cap: int = 10,
-                         count: int = 1) -> None:
+    def record_violation(self, kind: str, detail, count: int = 1) -> None:
         """Count count violations of kind; keep detail, which names one."""
         self.violation_counts[kind] = self.violation_counts.get(kind, 0) + count
         bucket = self.violations.setdefault(kind, [])
-        if len(bucket) < cap:
+        if len(bucket) < _DETAILS_KEPT:
             bucket.append(detail)
 
     def to_json(self) -> dict:
@@ -388,9 +378,10 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     the pair's other two neighbours and the minima.  Both checks read only
     the key, so each runs once per key, after the pair, and counts its
     fans with the key's multiplicity; a reported violation names the
-    first fan of its key.  A fan with more than one admissible pair also
-    gets the d of the others, fan by fan, to check that d is independent
-    of the pair used to compute it.  The other fans admit no action.
+    first fan of its key.  After the walk, each fan on the pair's multi
+    list, those with another admissible pair, gets the d of every pair
+    from its least quotients, to check that d is independent of the pair
+    used to compute it.  The other fans admit no action.
 
     The heavy phase first walks every fan, an independent route whose
     admitting and non-admitting counts must equal the light phase's, and
@@ -429,17 +420,10 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     report = SweepReport(bound=bound, min_rays=min_rays, max_rays=max_rays)
     bad, quotients = _pair_tables(pool)
 
-    def bounded(q1: int, q2: int) -> None:
-        if q1 == _NO_BOUND or q2 == _NO_BOUND:
-            raise InternalInconsistency(
-                "no octant row bounds the root interval; fan not complete?")
-
     def least_quotients(i: int, j: int, chain: list[int]) -> tuple[int, int]:
         r1, r2 = quotients[i][j]
-        q1 = min(map(r1.__getitem__, chain))
-        q2 = min(map(r2.__getitem__, chain))
-        bounded(q1, q2)
-        return q1, q2
+        return bounded(min(map(r1.__getitem__, chain)),
+                       min(map(r2.__getitem__, chain)))
 
     def interval_size(triple: tuple[int, int, int]) -> int:
         size = interval_sizes.get(triple)
@@ -456,26 +440,26 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     d_histogram: dict[int, int] = {}
     # (prev, ray, next) pool indices -> number of roots of the middle ray
     interval_sizes: dict[tuple[int, int, int], int] = {}
-    for i, j, fans in _admitting_fans(pool, min_rays, max_rays, bad,
-                                      quotients):
+    for i, j, fans, multi in _admitting_fans(pool, min_rays, max_rays, bad,
+                                             quotients):
         # (first, last, q1, q2) -> number of fans, and the first of them
         tally: dict[tuple[int, int, int, int], int] = {}
         witness: dict[tuple[int, int, int, int], int] = {}
-        for key, mask, more in fans:
+        for key, mask in fans:
             n = tally.get(key)
             if n is None:
                 tally[key] = 1
                 witness[key] = mask
             else:
                 tally[key] = n + 1
-            if more:
-                chain = _chain(mask)
-                degrees = [max(key[2:])] + [
-                    max(least_quotients(i2, j2, chain)) for i2, j2, _ in more]
-                if any(x != degrees[0] for x in degrees):
-                    report.record_violation(
-                        "d_depends_on_basis",
-                        {"rays": rays_of(mask), "degrees": degrees})
+        for mask, more in multi:
+            chain = _chain(mask)
+            degrees = [max(least_quotients(i, j, chain))] + [
+                max(least_quotients(i2, j2, chain)) for i2, j2, _ in more]
+            if any(x != degrees[0] for x in degrees):
+                report.record_violation(
+                    "d_depends_on_basis",
+                    {"rays": rays_of(mask), "degrees": degrees})
         # counterclockwise the fan reads a, b, first, ..., last
         a, b = (i, j) if det2(pool[i], pool[j]) > 0 else (j, i)
         for (first, last, q1, q2), count in tally.items():
@@ -530,9 +514,9 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
             f"the walk finds {walked[1]} admitting and {walked[0]} "
             f"non-admitting fans, the light phase {report.admitting} and "
             f"{nonadmitting}")
-    generated = (fan for _, _, fans in _admitting_fans(
+    generated = (fan for _, _, fans, _ in _admitting_fans(
         pool, min_rays, max_rays, bad, quotients) for fan in fans)
-    for n, ((_, _, q1, q2), mask, _) in enumerate(generated):
+    for n, ((_, _, q1, q2), mask) in enumerate(generated):
         chain = tuple(_chain(mask))
         generated_digest += hash(chain)
         if n % heavy_stride:

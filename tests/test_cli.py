@@ -15,6 +15,7 @@ import toric_additive
 from toric_additive.additive import classify_rays
 from toric_additive.cli import main
 from toric_additive.coxring import parse_poly
+from toric_additive.errors import InternalInconsistency, NotLocallyNilpotent
 
 
 def run_cli(capsys, *argv):
@@ -389,6 +390,30 @@ def test_sweep_small(capsys, monkeypatch):
     assert doc["admitting"] <= doc["total_fans"]
     assert doc["all_clean"] is True
     assert doc["heavy_checked"] == 0
+
+
+def test_sweep_violations_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("toric_additive.sweep.verification_report",
+                        lambda c, box, seed: {"all_pass": False,
+                                              "checks": {"planted": False}})
+    code, out, err = run_cli(capsys, "sweep", "--bound", "1")
+    assert code == 3 and not err
+    assert out.splitlines()[-1].startswith(
+        "VIOLATIONS: {'verification': ")
+
+
+@pytest.mark.parametrize("error,prefix", [
+    (InternalInconsistency, "internal inconsistency: "),
+    (NotLocallyNilpotent, "internal error: "),
+])
+def test_internal_errors_exit_3(capsys, monkeypatch, error, prefix):
+    def broken(fan, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr("toric_additive.cli.classify", broken)
+    code, out, err = run_cli(capsys, "classify", "--example", "p2")
+    assert code == 3 and out == ""
+    assert err == prefix + "planted\n"
 
 
 def test_sweep_with_more_rays_than_the_pool_is_an_error(capsys):

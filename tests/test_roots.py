@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -247,6 +248,14 @@ def test_octant_root_counts_match_exact_ratio_reference():
             continue
         assert octant_root_counts(rows) == want, rows
     assert 0 < raised < 3000
+
+
+def test_octant_root_counts_take_quotients_of_any_size():
+    # no int, however large, reads as an unbounded side
+    for big in (sys.maxsize, 2**64, 10**30):
+        for rows, want in (([(big, 1)], (big + 1, 1)),
+                           ([(1, big)], (1, big + 1))):
+            assert octant_root_counts(rows) == want
 
 
 @pytest.mark.parametrize("rows", [[], [(0, 0)], [(3, 0)], [(0, 2), (0, 5)],

@@ -2,10 +2,12 @@
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from toric_additive import sweep
+from toric_additive.additive import classify
 from toric_additive.errors import InternalInconsistency
 from toric_additive.lattice import det2
 from toric_additive.roots import root_interval
@@ -32,9 +34,10 @@ def _generated(pool, min_rays, max_rays):
     """
     bad, quotients = _pair_tables(pool)
     fans = []
-    for i, j, pair_fans in _admitting_fans(pool, min_rays, max_rays, bad,
-                                           quotients):
-        for (first, last, q1, q2), mask, more in pair_fans:
+    for i, j, pair_fans, multi in _admitting_fans(pool, min_rays, max_rays,
+                                                  bad, quotients):
+        others = dict(multi)
+        for (first, last, q1, q2), mask in pair_fans:
             chain = _chain(mask)
             m = len(chain)
             a, b = (i, j) if det2(pool[i], pool[j]) > 0 else (j, i)
@@ -43,7 +46,9 @@ def _generated(pool, min_rays, max_rays):
             r1, r2 = quotients[i][j]
             assert (q1, q2) == (min(r1[k] for k in chain),
                                 min(r2[k] for k in chain))
+            more = others.pop(mask, ())
             fans.append((tuple(chain), sorted([(i, j, bad[i][j]), *more])))
+        assert not others
     return fans
 
 
@@ -213,7 +218,7 @@ def test_d_depends_on_basis_fires(monkeypatch):
 
     def shifted(pool):
         bad, quotients = _pair_tables(pool)
-        quotients[i][j] = tuple([q if q == sweep._NO_BOUND else q + 1
+        quotients[i][j] = tuple([q if q == sweep.NO_BOUND else q + 1
                                  for q in row] for row in quotients[i][j])
         return bad, quotients
 
@@ -229,7 +234,7 @@ def test_light_loop_refuses_an_unbounded_side(monkeypatch):
         for by_j in quotients:
             for rows in by_j:
                 if rows is not None:
-                    rows[1][:] = [sweep._NO_BOUND] * len(pool)
+                    rows[1][:] = [sweep.NO_BOUND] * len(pool)
         return bad, quotients
 
     monkeypatch.setattr(sweep, "_pair_tables", unbounded)
@@ -399,17 +404,17 @@ def test_heavy_sweep_refuses_fans_the_walk_does_not_find(monkeypatch):
     # fan of its size: only a comparison of the fans themselves sees it
     def swapped(*args):
         first_of_size, dropped = {}, []
-        for i, j, fans in _admitting_fans(*args):
-            yield i, j, swap(fans, first_of_size, dropped)
+        for i, j, fans, multi in _admitting_fans(*args):
+            yield i, j, swap(fans, first_of_size, dropped), multi
 
     def swap(fans, first_of_size, dropped):
-        for key, mask, more in fans:
+        for key, mask in fans:
             size = bin(mask).count("1")
             if size in first_of_size and not dropped:
                 dropped.append(mask)
                 mask = first_of_size[size]
             first_of_size.setdefault(size, mask)
-            yield key, mask, more
+            yield key, mask
 
     strides = {"heavy_stride": 10**6, "nonadmitting_stride": 10**6}
     assert run_sweep(bound=2, **strides).all_clean
@@ -417,3 +422,49 @@ def test_heavy_sweep_refuses_fans_the_walk_does_not_find(monkeypatch):
     with pytest.raises(InternalInconsistency, match="the walk's admitting "
                        "fans differ from the generator's"):
         run_sweep(bound=2, **strides)
+
+
+HEAVY2 = {"bound": 2, "heavy_stride": 16, "nonadmitting_stride": 997}
+
+
+def test_heavy_sweep_records_failed_verifications(monkeypatch):
+    # 208 admitting fans (every 16th of 3,325) and 9 non-admitting ones
+    # (every 997th of 8,071) reach the oracles, and each one fails
+    seen = []
+
+    def failing(c, box, seed):
+        seen.append(tuple(c.fan.rays))
+        return {"all_pass": False, "checks": {"planted": False}}
+
+    monkeypatch.setattr(sweep, "verification_report", failing)
+    calls = []
+    r = run_sweep(**HEAVY2, progress=lambda *args: calls.append(args))
+    assert (r.heavy_checked, r.nonadmitting_sampled) == (208, 9)
+    assert r.violation_counts == {"verification": 217} and len(seen) == 217
+    details = r.violations["verification"]
+    assert [d["rays"] for d in details] == seen[:10]
+    assert all(d["failing"] == ["planted"] for d in details)
+    assert calls == [("light", 11396), ("heavy", 200)]
+
+
+def test_heavy_sweep_records_classify_disagreements(monkeypatch):
+    # the symbolic route reads d one too high on every admitting fan and
+    # finds a class on every non-admitting one
+    seen = {True: [], False: []}
+
+    def wrong(fan, *, with_actions=True):
+        c = classify(fan, with_actions=with_actions)
+        seen[with_actions].append(tuple(fan.rays))
+        if with_actions:
+            return replace(c, d=c.d + 1)
+        return replace(c, num_classes=1)
+
+    monkeypatch.setattr(sweep, "classify", wrong)
+    r = run_sweep(**HEAVY2)
+    assert r.violation_counts == {"light_heavy_disagree": 208,
+                                  "nonadmitting_mismatch": 9}
+    disagree = r.violations["light_heavy_disagree"]
+    assert [d["rays"] for d in disagree] == seen[True][:10]
+    assert all(d["d_heavy"] == d["d_light"] + 1 for d in disagree)
+    assert [d["rays"] for d in r.violations["nonadmitting_mismatch"]] == \
+        seen[False]

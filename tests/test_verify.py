@@ -759,6 +759,9 @@ def test_verification_report_catalog(name):
     rep = verification_report(c, box=10, seed=0)
     assert rep["all_pass"], rep["checks"]
     assert rep["admits_action"] is True
+    # without actions the report classifies the fan again
+    bare = classify(c.fan, with_actions=False)
+    assert verification_report(bare, box=10, seed=0) == rep
     assert rep["rays"] == [list(r) for r in c.fan.rays]
     base_keys = {"roots_box_oracle", "cone_condition_redundant",
                  "collections_bases_bijection", "classes_match_wideness",
