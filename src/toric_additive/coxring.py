@@ -57,8 +57,9 @@ class PolyRing:
 
 
 def _exact(value) -> Fraction:
-    """An int or Fraction as a Fraction; anything inexact is refused."""
-    if not isinstance(value, (int, Fraction)):
+    """An int or Fraction as a Fraction; anything inexact is refused, and
+    so is a bool, as ``lattice.int_rays`` refuses one in a ray."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {value!r}")
     return Fraction(value)
 
@@ -467,6 +468,9 @@ class Derivation:
     ring: PolyRing
     entries: tuple[Poly, ...]
     char: CharVec | None = None
+    # apply's plan, built from the entries on first use (see apply)
+    _plan: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.ring.nvars:
@@ -488,23 +492,22 @@ class Derivation:
         of D(x_i)'s numerator add c*e_i*a*(L // D(x_i).den) at x^(e - unit_i
         + f).  Every contribution goes into one int dict over the
         denominator p.den * L; zeros are dropped and the result reduced
-        once, so no derivative, product or partial sum is built.
+        once, so no derivative, product or partial sum is built.  L and
+        each moved entry's terms over L, with x_i struck once from their
+        exponents, are the derivation's plan: built on the first apply and
+        kept, since the entries never change.
         """
         ring = self.ring
-        if p.ring != ring:
+        if p.ring is not ring and p.ring != ring:
             raise VariableMismatch("argument outside the derivation's ring")
-        moved = [(i, q) for i, q in enumerate(self.entries) if q.num]
+        den, moved = self._plan or self._build_plan()
         if not moved or not p.num:
             return Poly.zero(ring)
-        den = lcm(*(q.den for _, q in moved))
         num: dict[tuple[int, ...], int] = {}
         get = num.get
-        for i, q in moved:
-            # D(x_i)'s terms over den, their exponents less unit_i: adding
-            # e to such an f strikes x_i once from x^e and multiplies x^f in
-            k = den // q.den
-            shifted = [(f[:i] + (f[i] - 1,) + f[i + 1:], a * k)
-                       for f, a in q.num.items()]
+        for i, shifted in moved:
+            # adding e to a shifted f strikes x_i once from x^e and
+            # multiplies x^f in
             for e, c in p.num.items():
                 ei = e[i]
                 if ei:
@@ -514,6 +517,17 @@ class Derivation:
                         num[f] = get(f, 0) + c * a
         return _reduced(ring, {e: c for e, c in num.items() if c},
                         p.den * den)
+
+    def _build_plan(self) -> tuple:
+        """(L, ((i, D(x_i)'s terms over L less unit_i), ...)), kept."""
+        moved = [(i, q) for i, q in enumerate(self.entries) if q.num]
+        den = lcm(*(q.den for _, q in moved))
+        plan = (den, tuple(
+            (i, tuple((f[:i] + (f[i] - 1,) + f[i + 1:], a * (den // q.den))
+                      for f, a in q.num.items()))
+            for i, q in moved))
+        object.__setattr__(self, "_plan", plan)
+        return plan
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.ring != other.ring:
@@ -575,19 +589,41 @@ def _over(t, k: int):
     return _reduced(t.ring, t.num, t.den * k)
 
 
+def _sum(ring: PolyRing, polys: Sequence[Poly]) -> Poly:
+    """sum(polys), each numerator brought to the one lcm of their dens."""
+    den = lcm(*(p.den for p in polys))
+    num: dict[tuple[int, ...], int] = {}
+    get = num.get
+    for p in polys:
+        k = den // p.den
+        for e, c in p.num.items():
+            num[e] = get(e, 0) + c * k
+    return _reduced(ring, {e: c for e, c in num.items() if c}, den)
+
+
 def _exp_series(x, op, what: Callable[[], str]):
     """x + op(x) + op(op(x))/2! + ..., summed up to the first zero term.
 
-    ``op`` maps a Poly or Derivation to one of the same kind.  A series
-    with no zero term within _MAX_STEPS raises NotLocallyNilpotent, whose
-    message starts with ``what()``.
+    ``op`` maps a Poly or Derivation to one of the same kind.  The loop
+    only collects the terms; at the first zero one they are summed once,
+    over one common denominator (entry by entry for a Derivation, which
+    keeps x's ``char`` when every term carries it).  A series with no zero
+    term within _MAX_STEPS raises NotLocallyNilpotent, whose message
+    starts with ``what()``.
     """
-    acc = cur = x
+    terms = [x]
+    cur = x
     for step in range(1, _MAX_STEPS + 1):
         cur = _over(op(cur), step)
         if cur.is_zero:
-            return acc
-        acc = acc + cur
+            ring = x.ring
+            if isinstance(x, Poly):
+                return _sum(ring, terms)
+            char = x.char if all(t.char == x.char for t in terms) else None
+            return Derivation(ring, tuple(_sum(ring, col) for col in
+                                          zip(*(t.entries for t in terms))),
+                              char=char)
+        terms.append(cur)
     raise NotLocallyNilpotent(
         f"{what()} did not terminate within {_MAX_STEPS} steps")
 
@@ -628,7 +664,10 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
 
     The pair must commute; each coordinate must be annihilated by enough
     iterations of the derivation, otherwise the pair is not locally
-    nilpotent and no polynomial action exists.
+    nilpotent and no polynomial action exists.  Each moved coordinate's
+    image is one exp series of the flow s1*d1 + s2*d2, which applies the
+    flow's plan at every step and sums its terms once; a coordinate whose
+    flow entry is zero is fixed, and its image is x_i with no series.
     """
     if d1.ring != d2.ring:
         raise VariableMismatch("derivations live in different rings")
@@ -643,6 +682,7 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     images = tuple(
         _exp_series(Poly.var(ring, i), flow.apply,
                     lambda: f"flow of {ring.names[i]}")
+        if flow.entries[i].num else Poly.var(ring, i)
         for i in range(ring.index("s1")))
     return ActionMap(ring=ring, images=images)
 

@@ -11,7 +11,6 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 
 from .errors import (
     LengthMismatch,
@@ -26,10 +25,10 @@ CharVec = tuple[int, ...]
 
 
 def pairing(p: LatticeVec, e: CharVec) -> int:
-    """Canonical pairing <p, e> between N and M."""
-    if len(p) != len(e):
+    """Canonical pairing <p, e> between N and M, both of rank 2."""
+    if len(p) != 2 or len(e) != 2:
         raise LengthMismatch(f"pairing of lengths {len(p)} and {len(e)}")
-    return sum(map(mul, p, e))
+    return p[0] * e[0] + p[1] * e[1]
 
 
 def vsub(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

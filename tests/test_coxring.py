@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -10,7 +12,7 @@ from toric_additive.additive import (
     classify_rays,
     find_admissible_basis,
 )
-from toric_additive.catalog import example_fan
+from toric_additive.catalog import BUILTIN, example_fan
 from toric_additive.coxring import (
     ActionMap,
     Derivation,
@@ -97,7 +99,8 @@ def test_generator_index_out_of_range():
 def test_int_const_and_int_eval():
     assert Poly.const(R3, 0) == Poly.zero(R3)
     assert Poly.const(R3, -4) == Poly.const(R3, Fraction(-4))
-    assert Poly.const(R3, True) == Poly.const(R3, 1)
+    with pytest.raises(TypeError, match="True"):
+        Poly.const(R3, True)
     rng = random.Random(20)
     for _ in range(40):
         p = _random_poly(rng, R3)
@@ -615,9 +618,95 @@ def test_exp_action_rejects_non_nilpotent():
     a = derivation(R3, {0: _p("x1^2")})
     with pytest.raises(NotLocallyNilpotent):
         exp_action(a, derivation(R3, {}))
+    # the cyclic x2 d/dx1 + x1 d/dx2 never reaches a zero term
     z = derivation(R3, {0: _p("x2"), 1: _p("x1")})
-    with pytest.raises(NotLocallyNilpotent):
+    with pytest.raises(NotLocallyNilpotent, match=re.escape(
+            "flow of x1 did not terminate within 64 steps")):
+        exp_action(z, derivation(R3, {}))
+    with pytest.raises(NotLocallyNilpotent, match=re.escape(
+            "iterated bracket with (x2) d/dx1 + (x1) d/dx2 did not "
+            "terminate within 64 steps")):
         exp_ad(z, derivation(R3, {0: _p("1")}))
+
+
+def _ref_exp_series(x, op):
+    """Reference: x + op(x) + op(op(x))/2! + ..., as a running sum."""
+    acc = cur = x
+    for step in range(1, coxring._MAX_STEPS + 1):
+        cur = coxring._over(op(cur), step)
+        if cur.is_zero:
+            return acc
+        acc = acc + cur
+    raise AssertionError("the reference series did not terminate")
+
+
+def _ref_exp_action_images(d1, d2):
+    """Reference: one running-sum series per coordinate, fixed ones too."""
+    ring = d1.ring
+    s1 = Poly.var(ring, ring.index("s1"))
+    s2 = Poly.var(ring, ring.index("s2"))
+    flow = Derivation(ring, tuple(a * s1 + b * s2
+                                  for a, b in zip(d1.entries, d2.entries)))
+    return tuple(_ref_exp_series(Poly.var(ring, i), flow.apply)
+                 for i in range(ring.index("s1")))
+
+
+def test_exp_series_matches_running_sum_reference():
+    # both actions of the catalog and of every f:a and P(1,1,a) up to 32,
+    # and exp(ad delta) on the top partial, whose series has d + 1 terms
+    fans = list(BUILTIN.values())
+    for a in range(1, 33):
+        fans += [example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))]
+    fixed = 0
+    for rays in fans:
+        c = classify(build_fan(rays))
+        fam = c.family
+        pairs = [(fam.delta, fam.partials[0])]
+        if fam.d:
+            pairs.append((fam.delta + fam.partials[fam.d], fam.partials[0]))
+        for (d1, d2), act in zip(pairs, (c.normalized_action,
+                                         c.non_normalized_action)):
+            assert act.images == _ref_exp_action_images(d1, d2)
+            fixed += sum(not (p.num or q.num)
+                         for p, q in zip(d1.entries, d2.entries))
+        top = fam.partials[fam.d]
+        for z, t in ((fam.delta, top), (fam.delta, fam.delta + top),
+                     (fam.partials[0], top)):
+            got = exp_ad(z, t)
+            ref = _ref_exp_series(t, lambda u: commutator(z, u))
+            assert got == ref and got.char == ref.char
+    assert fixed > len(fans)
+    # normal_form re-verifies its answer by exp(ad Z) at d = 3 and d = 62
+    family = classify_rays(example_fan("f:3")).family
+    assert normal_form((1, 2, 0, 5), family).eta == (2, 1, 5)
+    rng = random.Random(62)
+    family = classify_rays(example_fan("f:62")).family
+    normal_form([rng.randint(-9, 9) for _ in range(62)] + [1], family)
+
+
+def test_apply_plan_is_kept_and_never_shared():
+    images = {0: _p("1/2*x2*x3"), 1: _p("x3^2 - 1/3*s1"), 2: _p("2/5")}
+    D = derivation(R3, images)
+    E = derivation(R3, {0: _p("x3"), 2: _p("1/7*x1*x2")})
+    p, q = _p("x1^2*x2 + 1/4*x2*s1"), _p("x1*x2*x3^2 - 3")
+    assert D._plan is None
+    first = D.apply(q)
+    assert D._plan is not None
+    fresh = derivation(R3, images)
+    assert D == fresh and repr(D) == repr(fresh)
+    assert D.apply(q) == fresh.apply(q) == first == _ref_apply(D, q)
+    E.apply(p)
+    assert D.scale(3).apply(p) == D.apply(p) * 3
+    derived = [D + E, D - E, -D, D.scale(3), D.scale(Fraction(-2, 7)),
+               coxring._over(D, 4), commutator(D, E), commutator(E, D),
+               torus_conjugate(D, (2, Fraction(1, 3), 5)),
+               replace(D, entries=E.entries)]
+    for R in derived:
+        assert R._plan is None
+        for f in (p, q):
+            assert R.apply(f) == _ref_apply(R, f)
+    assert D.apply(p) == _ref_apply(D, p)
+    assert E.apply(q) == _ref_apply(E, q)
 
 
 def test_compose_group_law():
@@ -779,6 +868,20 @@ def test_torus_conjugate_refuses_float():
         torus_conjugate(dv, (1, 0.5, 1))
     with pytest.raises(TypeError, match="0.1"):
         dv.scale(0.1)
+
+
+def test_exact_refuses_bool():
+    # bool is an int subclass; the gate refuses it as int_rays does
+    family = classify_rays(example_fan("f:3")).family
+    with pytest.raises(TypeError, match="True"):
+        normal_form((True, 2, 0, 5), family)
+    with pytest.raises(TypeError, match="True"):
+        TorusChar((1, 2)).value_at([True, 2])
+    with pytest.raises(TypeError, match="False"):
+        Poly.var(R3, 0).eval([False, 1, 1, 0, 0, 0, 0])
+    with pytest.raises(TypeError, match="True"):
+        Poly.var(R3, 0) * True
+    assert TorusChar((1, 2)).value_at([1, 2]) == 4
 
 
 def test_build_lnd_family_brackets():

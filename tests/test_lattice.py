@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -31,9 +32,23 @@ def test_pairing_values():
     assert pairing((3, 5), (7, -2)) == 11
 
 
+def test_pairing_matches_sum_of_products():
+    rng = random.Random(30)
+    for bits in (4, 40, 333):  # 2^333 > 10^100
+        for _ in range(200):
+            p, e = ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(2)]
+                    for _ in range(2))
+            assert pairing(tuple(p), tuple(e)) == sum(map(mul, p, e))
+
+
 def test_pairing_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        pairing((1, 0), (1, 0, 0))
+    for p, e in (((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0))):
+        with pytest.raises(LengthMismatch,
+                           match=f"lengths {len(p)} and {len(e)}"):
+            pairing(p, e)
+    # N and M have rank 2
+    with pytest.raises(LengthMismatch, match="lengths 3 and 3"):
+        pairing((1, 0, 0), (1, 0, 0))
 
 
 def test_vector_helpers():
