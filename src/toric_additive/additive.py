@@ -10,7 +10,6 @@ two otherwise, with explicit polynomial representatives in Cox coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
 from .coxring import (
@@ -59,27 +58,46 @@ class AdmissibleBasis:
     alpha: tuple[tuple[int, int], ...]
 
 
+def _swapped(basis: AdmissibleBasis) -> AdmissibleBasis:
+    return AdmissibleBasis(
+        rays=basis.rays,
+        basis_indices=(basis.basis_indices[1], basis.basis_indices[0]),
+        duals=(basis.duals[1], basis.duals[0]),
+        nonbasis_indices=basis.nonbasis_indices,
+        alpha=tuple((row[1], row[0]) for row in basis.alpha))
+
+
 def _admissible_bases(rays: Sequence[Sequence[int]], validate: bool
                       ) -> Iterator[AdmissibleBasis]:
-    """Admissible bases in lexicographic order of index pairs."""
+    """Admissible bases, each unordered pair i < j tested once.
+
+    Admissibility does not depend on the order of the pair, so an
+    admissible pair (i, j) yields its basis and then, through ``_swapped``,
+    the one of (j, i).  The first basis yielded is therefore the first
+    admissible one in lexicographic order of ordered index pairs.
+    """
     clean = int_rays(rays)
     if validate:
         build_fan(clean)
-    for perm in permutations(range(len(clean)), 2):
-        if abs(det2(clean[perm[0]], clean[perm[1]])) != 1:
-            continue
-        duals = unimodular_duals([clean[i] for i in perm])
-        nonbasis = tuple(j for j in range(len(clean)) if j not in perm)
-        alpha = []
-        for j in nonbasis:
-            row = octant_coords(clean[j], duals)
-            if min(row) < 0:
-                break
-            alpha.append(row)
-        else:
-            yield AdmissibleBasis(rays=clean, basis_indices=perm,
-                                  duals=duals, nonbasis_indices=nonbasis,
-                                  alpha=tuple(alpha))
+    m = len(clean)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(det2(clean[i], clean[j])) != 1:
+                continue
+            duals = unimodular_duals([clean[i], clean[j]])
+            nonbasis = tuple(k for k in range(m) if k != i and k != j)
+            alpha = []
+            for k in nonbasis:
+                row = octant_coords(clean[k], duals)
+                if min(row) < 0:
+                    break
+                alpha.append(row)
+            else:
+                basis = AdmissibleBasis(rays=clean, basis_indices=(i, j),
+                                        duals=duals, nonbasis_indices=nonbasis,
+                                        alpha=tuple(alpha))
+                yield basis
+                yield _swapped(basis)
 
 
 def find_admissible_basis(rays: Sequence[Sequence[int]], *,
@@ -94,8 +112,9 @@ def find_admissible_basis(rays: Sequence[Sequence[int]], *,
 
 def all_admissible_bases(rays: Sequence[Sequence[int]], *,
                          validate: bool = True) -> tuple[AdmissibleBasis, ...]:
-    """Every admissible basis, in the order find_admissible_basis tries them."""
-    return tuple(_admissible_bases(rays, validate))
+    """Every admissible basis, in lexicographic order of index pairs."""
+    return tuple(sorted(_admissible_bases(rays, validate),
+                        key=lambda b: b.basis_indices))
 
 
 def decide_existence(rays: Sequence[Sequence[int]], *,
@@ -155,15 +174,6 @@ def is_wide(fan: Fan2, basis: AdmissibleBasis) -> bool:
         raise InternalInconsistency(
             "root enumeration and the octant criterion disagree on wideness")
     return by_counts
-
-
-def _swapped(basis: AdmissibleBasis) -> AdmissibleBasis:
-    return AdmissibleBasis(
-        rays=basis.rays,
-        basis_indices=(basis.basis_indices[1], basis.basis_indices[0]),
-        duals=(basis.duals[1], basis.duals[0]),
-        nonbasis_indices=basis.nonbasis_indices,
-        alpha=tuple((row[1], row[0]) for row in basis.alpha))
 
 
 @dataclass(frozen=True)

@@ -332,12 +332,18 @@ def cmd_examples(args) -> _Result:
             EXIT_OK)
 
 
+def _progress(phase: str, fans: int) -> None:
+    """A sweep's progress, on stderr so that stdout stays the report."""
+    print(f"{phase} phase: {fans} fans", file=sys.stderr)
+
+
 def cmd_sweep(args) -> _Result:
     report = run_sweep(bound=args.bound, min_rays=args.min_rays,
                        max_rays=args.max_rays, heavy=not args.light,
                        heavy_stride=args.heavy_stride,
                        nonadmitting_stride=args.nonadmitting_stride,
-                       box=args.box, seed=_seed(args))
+                       box=args.box, seed=_seed(args),
+                       progress=_progress)
     lines = [
         f"pool bound: {report.bound}, "
         f"rays {report.min_rays}..{report.max_rays}",

@@ -150,7 +150,8 @@ class Poly:
         return not self.num
 
     def _check_ring(self, other: "Poly") -> None:
-        if self.ring != other.ring:
+        # polys built by arithmetic share the ring object itself
+        if self.ring is not other.ring and self.ring != other.ring:
             raise VariableMismatch("polynomials live in different rings")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -219,8 +220,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.ring == other.ring and self.den == other.den
-                and self.num == other.num)
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.den == other.den and self.num == other.num)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -477,8 +478,9 @@ class Derivation:
             raise VariableMismatch("need one entry per generator")
         ring = self.ring
         # entries built by Poly arithmetic share the ring object itself
-        if any(p.ring is not ring and p.ring != ring for p in self.entries):
-            raise VariableMismatch("entry outside the derivation's ring")
+        for p in self.entries:
+            if p.ring is not ring and p.ring != ring:
+                raise VariableMismatch("entry outside the derivation's ring")
 
     @property
     def is_zero(self) -> bool:
@@ -666,8 +668,9 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     iterations of the derivation, otherwise the pair is not locally
     nilpotent and no polynomial action exists.  Each moved coordinate's
     image is one exp series of the flow s1*d1 + s2*d2, which applies the
-    flow's plan at every step and sums its terms once; a coordinate whose
-    flow entry is zero is fixed, and its image is x_i with no series.
+    flow's plan at every step and sums its terms once; a coordinate that
+    neither d1 nor d2 moves is fixed: its flow entry is zero, built with no
+    product, and its image is x_i with no series.
     """
     if d1.ring != d2.ring:
         raise VariableMismatch("derivations live in different rings")
@@ -677,7 +680,7 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
             "exp(s1*D1 + s2*D2) is a group action only for commuting pairs")
     s1 = Poly.var(ring, ring.index("s1"))
     s2 = Poly.var(ring, ring.index("s2"))
-    flow = Derivation(ring, tuple(a * s1 + b * s2
+    flow = Derivation(ring, tuple(a * s1 + b * s2 if a.num or b.num else a
                                   for a, b in zip(d1.entries, d2.entries)))
     images = tuple(
         _exp_series(Poly.var(ring, i), flow.apply,
@@ -765,19 +768,24 @@ def degree_of(grading: ClGrading, p: Poly) -> tuple[int, ...] | None:
 def lnd_from_root(ring: PolyRing, rays: Sequence[LatticeVec], e: CharVec,
                   ray_index: int) -> Derivation:
     """Locally nilpotent derivation prod_j x_j^<p_j,e> d/dx_i of a root e."""
-    exps = [0] * ring.nvars
-    for j, p in enumerate(rays):
-        v = pairing(p, e)
-        if j == ray_index:
-            if v != -1:
-                raise NotApplicable(
-                    f"character {e} is not a root of ray {ray_index + 1}: "
-                    f"pairing is {v}, not -1")
-            continue
-        if v < 0:
-            raise NegativeExponent(
-                f"character {e} pairs negatively with ray {j + 1}")
-        exps[j] = v
+    return _root_lnd(ring, [pairing(p, e) for p in rays], e, ray_index)
+
+
+def _root_lnd(ring: PolyRing, exps: list[int], e: CharVec,
+              ray_index: int) -> Derivation:
+    """``lnd_from_root`` of e, given the list of its pairings <p_j, e>
+    with the rays, which becomes the exponent list of the entry."""
+    v = exps[ray_index]
+    if v != -1:
+        raise NotApplicable(
+            f"character {e} is not a root of ray {ray_index + 1}: "
+            f"pairing is {v}, not -1")
+    exps[ray_index] = 0
+    if min(exps) < 0:
+        j = next(j for j, v in enumerate(exps) if v < 0)
+        raise NegativeExponent(
+            f"character {e} pairs negatively with ray {j + 1}")
+    exps += [0] * (ring.nvars - len(exps))
     coeff = _reduced(ring, {tuple(exps): 1}, 1)
     return derivation(ring, {ray_index: coeff}, char=tuple(e))
 
@@ -849,17 +857,25 @@ class LndFamily:
 
 
 def build_lnd_family(basis, d: int) -> LndFamily:
+    """delta = the derivation of the root -b1 and partials[k] that of
+    k*b1 - b2, for the basis duals b1, b2, as ``lnd_from_root`` builds them.
+
+    The pairings of the rays with b1 and b2 are taken once: ray j pairs
+    with k*b1 - b2 to k*<p_j, b1> - <p_j, b2>.
+    """
     rays = basis.rays
     ring = action_ring(len(rays))
     i1, i2 = basis.basis_indices
     b1, b2 = basis.duals
-    delta = lnd_from_root(ring, rays, vneg(b1), i1)
-    partials = []
-    for k in range(d + 1):
-        e = (k * b1[0] - b2[0], k * b1[1] - b2[1])
-        partials.append(lnd_from_root(ring, rays, e, i2))
+    w1 = [pairing(p, b1) for p in rays]
+    w2 = [pairing(p, b2) for p in rays]
+    delta = _root_lnd(ring, [-v for v in w1], vneg(b1), i1)
+    partials = tuple(
+        _root_lnd(ring, [k * v1 - v2 for v1, v2 in zip(w1, w2)],
+                  (k * b1[0] - b2[0], k * b1[1] - b2[1]), i2)
+        for k in range(d + 1))
     return LndFamily(ring=ring, basis=basis, grading=cl_grading(basis),
-                     delta=delta, partials=tuple(partials), d=d)
+                     delta=delta, partials=partials, d=d)
 
 
 def emit_actions(family: LndFamily) -> tuple[ActionMap, ActionMap | None]:

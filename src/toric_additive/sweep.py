@@ -81,16 +81,17 @@ def primitive_pool(bound: int) -> tuple[LatticeVec, ...]:
 
 def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
           bad: list[list[int | None]]
-          ) -> Iterator[tuple[list[int], list[tuple[int, int, int]]]]:
+          ) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
     """Depth-first walk over the complete fans of the pool.
 
-    Yields (chain, pairs) once per complete fan: chain is the fan's
-    ascending list of pool indices, and pairs lists (i, j, bad[i][j]) for
-    every pair i < j of the chain whose table exists and whose bad mask
-    misses the chain.  Such a pair spans a cone (see the module docstring),
-    so adding ray k drops the carried pairs hit by bit k and tests only the
-    new pair (chain[-1], k); a fan also gets its closing pair (chain[0], k),
-    in the yielded list only, which is valid until the next step.
+    Yields (chain, mask, pairs) once per complete fan: chain is the fan's
+    ascending list of pool indices, mask has bit k for each k in chain, and
+    pairs lists (i, j, bad[i][j]) for every pair i < j of the chain whose
+    table exists and whose bad mask misses the chain.  Such a pair spans a
+    cone (see the module docstring), so adding ray k drops the carried
+    pairs hit by bit k and tests only the new pair (chain[-1], k); a fan
+    also gets its closing pair (chain[0], k), in the yielded list only,
+    which is valid until the next step.
 
     The walk is one loop over an explicit stack of frames, each holding
     the iterator over the candidates left, and the chain's mask, pairs and
@@ -120,8 +121,9 @@ def _walk(pool: tuple[LatticeVec, ...], min_rays: int, max_rays: int,
                 chain.append(k)
                 if depth >= min_rays and closes[k]:
                     b = bad[start][k]
-                    yield chain, (kept + [(start, k, b)]
-                                  if b is not None and not b & grown else kept)
+                    yield chain, grown, (kept + [(start, k, b)]
+                                         if b is not None and not b & grown
+                                         else kept)
                 if depth < max_rays:
                     stack.append((cands, mask, pairs, depth))
                     cands = iter(succ[k] if depth + 1 < max_rays
@@ -141,7 +143,7 @@ def enumerate_complete_fans(pool: tuple[LatticeVec, ...], min_rays: int = 3,
                             ) -> Iterator[tuple[LatticeVec, ...]]:
     """Complete fans whose rays come from the pool, as angularly sorted tuples."""
     no_pairs = [[None] * len(pool)] * len(pool)
-    for chain, _ in _walk(pool, min_rays, max_rays, no_pairs):
+    for chain, _, _ in _walk(pool, min_rays, max_rays, no_pairs):
         yield tuple(pool[i] for i in chain)
 
 
@@ -263,6 +265,24 @@ def _octant_fans(octant: list[int], r1: list, r2: list, base: int, lo: int,
                 if not stack:
                     break
                 cands, q1, q2, mask, size = stack.pop()
+
+
+_M64 = (1 << 64) - 1
+
+
+def _mix(mask: int) -> int:
+    """A fan's mask mixed into 64 bits, for the order-free digests.
+
+    hash(mask) is mask mod 2**61 - 1, whatever the hash seed, and the
+    splitmix64 finaliser spreads each of its bits over all 64.  So two fans
+    that trade rays, keeping the sum of their masks, change the sum of
+    their mixes; hash((mask,)) does not do this, as it is nearly linear
+    in the mask.
+    """
+    x = hash(mask)
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+    return x ^ x >> 31
 
 
 def _chain(mask: int) -> list[int]:
@@ -389,7 +409,7 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     the full symbolic pipeline plus all verification oracles on these and
     on every heavy_stride-th admitting fan, generated again, not kept.
     The walk's admitting fans must also be the generator's: the sums of
-    their chains' hashes agree mod 2**64, which keeps no list.
+    their masks' mixes (``_mix``) agree mod 2**64, which keeps no list.
 
     The interval enumeration depends only on a basis ray and its two
     neighbours, so it runs once per (prev, ray, next) triple of pool
@@ -500,12 +520,12 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
 
     t1 = time.perf_counter()
     walked = [0, 0]  # non-admitting and admitting fans
-    # order-free digests of the admitting fans: sums of their chains' hashes
+    # order-free digests of the admitting fans: sums of their masks' mixes
     walked_digest = generated_digest = 0
     nonadmitting_picks: list[tuple[LatticeVec, ...]] = []
-    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
+    for chain, mask, pairs in _walk(pool, min_rays, max_rays, bad):
         if pairs:
-            walked_digest += hash(tuple(chain))
+            walked_digest += _mix(mask)
         elif walked[0] % nonadmitting_stride == 0:
             nonadmitting_picks.append(tuple(pool[k] for k in chain))
         walked[bool(pairs)] += 1
@@ -517,11 +537,10 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     generated = (fan for _, _, fans, _ in _admitting_fans(
         pool, min_rays, max_rays, bad, quotients) for fan in fans)
     for n, ((_, _, q1, q2), mask) in enumerate(generated):
-        chain = tuple(_chain(mask))
-        generated_digest += hash(chain)
+        generated_digest += _mix(mask)
         if n % heavy_stride:
             continue
-        rays = tuple(pool[k] for k in chain)
+        rays = rays_of(mask)
         d_light = max(q1, q2)
         c = classify(build_fan(rays))
         report.heavy_checked += 1

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .additive import (
     Classification,
+    CompleteCollection,
     all_admissible_bases,
     classify,
     complete_collections,
@@ -55,22 +56,41 @@ from .errors import (
     NotHomogeneous,
     ZeroCoordinate,
 )
-from .fan import Fan2, adjacent
-from .lattice import CharVec, integer_row, mat_det, pairing, primitive, vneg
+from .fan import Fan2
+from .lattice import (
+    CharVec,
+    LatticeVec,
+    integer_row,
+    mat_det,
+    pairing,
+    primitive,
+    vneg,
+)
 from .roots import DemazureRoot, roots_by_ray
 
 
-def _other_rays_allow(fan: Fan2, i: int, e: CharVec) -> bool:
-    """Every ray but p_i pairs >= 0 with e, and 0 only beside p_i.
+def _others(fan: Fan2, i: int) -> list[tuple[LatticeVec, bool]]:
+    """(p_j, whether p_j spans a cone with p_i) for every ray j but i.
 
-    Together with <p_i, e> = -1 this is the full definition of a root of
-    ray i, cone condition included.
+    The rays that span a cone with p_i are its two neighbours in the
+    fan's cyclic order.
     """
-    for j, p in enumerate(fan.rays):
-        if j != i:
-            w = pairing(p, e)
-            if w < 0 or (w == 0 and not adjacent(fan, i, j)):
-                return False
+    order = fan.cyclic_order
+    k = order.index(i)
+    beside = (order[k - 1], order[(k + 1) % len(order)])
+    return [(p, j in beside) for j, p in enumerate(fan.rays) if j != i]
+
+
+def _others_allow(others: list[tuple[LatticeVec, bool]], e: CharVec) -> bool:
+    """Every ray of ``others`` pairs >= 0 with e, and 0 only if beside.
+
+    With ``others`` from ``_others(fan, i)`` and <p_i, e> = -1 this is the
+    full definition of a root of ray i, cone condition included.
+    """
+    for p, beside in others:
+        w = pairing(p, e)
+        if w < 0 or (w == 0 and not beside):
+            return False
     return True
 
 
@@ -97,8 +117,9 @@ def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
             line = [(-a, ey) for ey in span]
         else:
             continue
+        others = _others(fan, i)
         found.update(DemazureRoot(e=e, ray=i) for e in line
-                     if _other_rays_allow(fan, i, e))
+                     if _others_allow(others, e))
     return frozenset(found)
 
 
@@ -120,15 +141,28 @@ def check_cone_condition_redundant(fan: Fan2) -> bool:
     <p_i, e> = -1, and every other ray pairs >= 0 with e, and 0 only when
     it spans a cone with p_i; the enumeration reads only p_i's neighbours.
     """
-    return all(pairing(fan.rays[i], r.e) == -1
-               and _other_rays_allow(fan, i, r.e)
-               for i, roots in enumerate(roots_by_ray(fan)) for r in roots)
+    for i, roots in enumerate(roots_by_ray(fan)):
+        if roots:
+            others = _others(fan, i)
+            if not all(pairing(fan.rays[i], r.e) == -1
+                       and _others_allow(others, r.e) for r in roots):
+                return False
+    return True
 
 
-def check_collections_bases_bijection(fan: Fan2) -> bool:
-    """Unordered admissible bases and complete collections match one to one."""
+def check_collections_bases_bijection(
+        fan: Fan2, collections: Sequence[CompleteCollection] | None = None
+) -> bool:
+    """Unordered admissible bases and complete collections match one to one.
+
+    ``collections`` are the fan's complete collections, as ``classify``
+    keeps them; without them they are computed here.  The bases come from
+    the search over all ray pairs, not only the cones the collections
+    scan.
+    """
     bases = all_admissible_bases(fan.rays, validate=False)
-    colls = complete_collections(fan)
+    colls = (complete_collections(fan) if collections is None
+             else collections)
     base_sets = {frozenset(b.basis_indices) for b in bases}
     coll_sets = {frozenset(c.basis_indices) for c in colls}
     return (base_sets == coll_sets
@@ -175,16 +209,17 @@ def _graded_sum(ring: PolyRing,
     return Derivation(ring, tuple(entries))
 
 
-def _split_by_tag(ring: PolyRing, p: Poly, n: int) -> list[Poly]:
-    """The coefficients of t^0, ..., t^(n-1) in p, as polys in ``ring``.
+def _split_by_tag(p: Poly, n: int) -> list[dict]:
+    """The numerators of the coefficients of t^0, ..., t^(n-1) in p.
 
-    t is the last generator of p's ring, which is ``ring`` with t appended,
-    and p has degree below n in t.
+    t is the last generator of p's ring, p has degree below n in t, and
+    each coefficient is its numerator, with t's exponent struck, over
+    p.den.
     """
     parts: list[dict] = [{} for _ in range(n)]
     for e, c in p.num.items():
         parts[e[-1]][e[:-1]] = c
-    return [_reduced(ring, num, p.den) for num in parts]
+    return parts
 
 
 def check_bracket_table(family: LndFamily) -> bool:
@@ -278,7 +313,8 @@ def check_group_law(action: ActionMap) -> bool:
     with the verdict ``check_identity_at_zero`` reports.
     F(x, 0) = x and F(F(x, s), r) = F(x, s + r) hold exactly when the
     two equations do, and checking them differentiates each image once and
-    applies each D_j to it once, with no composition or substitution.
+    applies each D_j to it once, with no composition or substitution; an
+    image that is x_i itself needs neither, as both sides are zero.
 
     Necessity: differentiate F_i(F(x, s), r) = F_i(x, s + r) in s_j at
     s = 0; as F(x, 0) = x, the left side becomes sum_k D_j(x_k) dF_i/dx_k,
@@ -303,8 +339,10 @@ def check_group_law(action: ActionMap) -> bool:
         return False
     d1, d2 = tangent
     j1, j2 = action.ring.index("s1"), action.ring.index("s2")
+    # as F(x, 0) = x, an image with one term is x_i itself: it reads
+    # 0 = D_j(x_i), and D_j(x_i), its s_j-linear part, is zero
     return all(img.diff(j1) == d1.apply(img) and img.diff(j2) == d2.apply(img)
-               for img in action.images)
+               for img in action.images if len(img.num) > 1)
 
 
 def check_homogeneous_images(action: ActionMap, grading: ClGrading) -> bool:
@@ -368,7 +406,8 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
         vals = [0] * ring.nvars
         for i, c in enumerate(pt):
             vals[i] = c
-        rows = [[d.entries[i].eval(vals) for i in range(m)] for d in (d1, d2)]
+        rows = [[d.entries[i].eval(vals) if d.entries[i].num else 0
+                 for i in range(m)] for d in (d1, d2)]
         for k in range(m - 2):
             rows.append([grading.degrees[i][k] * pt[i] for i in range(m)])
         return mat_det([integer_row(r) for r in rows]) != 0
@@ -420,28 +459,36 @@ class AnnihilatorReport:
 
 
 def _kernel(a: Poly, b: Poly) -> tuple[str, tuple[int, int] | None]:
-    """The kernel of s -> s1*a + s2*b as full, a line, or trivial.
+    """The kernel of s -> s1*a + s2*b as full, a line, or trivial."""
+    return _kernel_of(a.num, a.den, b.num, b.den)
 
-    It is a line exactly when a and b are proportional: a = alpha*g and
-    b = beta*g with (alpha, beta) != 0, and then it runs along
-    (beta, -alpha), made primitive and sign-normalized.
+
+def _kernel_of(a_num: dict, a_den: int, b_num: dict, b_den: int
+               ) -> tuple[str, tuple[int, int] | None]:
+    """``_kernel`` of a = a_num / a_den and b = b_num / b_den.
+
+    The numerators map monomials to nonzero ints and need not be reduced
+    against their denominators.  The kernel is a line exactly when a and b
+    are proportional: a = alpha*g and b = beta*g with (alpha, beta) != 0,
+    and then it runs along (beta, -alpha), made primitive and
+    sign-normalized.
     """
-    if not a.num and not b.num:
+    if not a_num and not b_num:
         return "full", None
-    if not a.num:
+    if not a_num:
         alpha, beta = 0, 1
-    elif not b.num:
+    elif not b_num:
         alpha, beta = 1, 0
     else:
-        if a.num.keys() != b.num.keys():
+        if a_num.keys() != b_num.keys():
             return "none", None
-        # the ratio of one coefficient pair, alpha/beta = (p/a.den)/(q/b.den),
+        # the ratio of one coefficient pair, alpha/beta = (p/a_den)/(q/b_den),
         # must hold at every monomial
-        e0 = next(iter(a.num))
-        p, q = a.num[e0], b.num[e0]
-        if any(c * q != b.num[e] * p for e, c in a.num.items()):
+        e0 = next(iter(a_num))
+        p, q = a_num[e0], b_num[e0]
+        if any(c * q != b_num[e] * p for e, c in a_num.items()):
             return "none", None
-        alpha, beta = p * b.den, q * a.den
+        alpha, beta = p * b_den, q * a_den
     w, _ = primitive((beta, -alpha))
     return "line", (vneg(w) if w < (0, 0) else w)
 
@@ -474,8 +521,9 @@ def annihilator_profile(action: ActionMap,
     rule D_j(t^k f_k) = t^k D_j(f_k) + k t^(k-1) D_j(t) f_k = t^k D_j(f_k),
     and D_j(f_k) is free of t, as f_k and the entries of D_j are; so
     D_j(F) = sum_k t^k D_j(f_k) with the k-th summand exactly the part of
-    D_j(F) of degree k in t.  Splitting D_j(F) by the exponent of t gives
-    each D_j(f_k) as it is.
+    D_j(F) of degree k in t.  Splitting D_j(F)'s numerator by the exponent
+    of t gives each D_j(f_k) as a numerator over D_j(F)'s denominator, and
+    the kernel is read from these without reducing them.
     """
     basis = family.basis
     i2 = basis.basis_indices[1]
@@ -496,13 +544,13 @@ def annihilator_profile(action: ActionMap,
                                   for k, (_, f) in enumerate(probes)])
     d1, d2 = (_graded_sum(tagged, [(1, (0,), d)]) for d in tangent)
     n = len(probes)
+    a, b = d1.apply(spread), d2.apply(spread)
     results = []
     lines = set()
     full = []
-    for (label, _), a, b in zip(probes,
-                                _split_by_tag(ring, d1.apply(spread), n),
-                                _split_by_tag(ring, d2.apply(spread), n)):
-        kind, line = _kernel(a, b)
+    for (label, _), a_num, b_num in zip(probes, _split_by_tag(a, n),
+                                        _split_by_tag(b, n)):
+        kind, line = _kernel_of(a_num, a.den, b_num, b.den)
         results.append(ProbeResult(label=label, kind=kind, line=line))
         if kind == "line":
             lines.add(line)
@@ -554,7 +602,7 @@ def verification_report(c: Classification, *, box: int = 10,
     checks["roots_box_oracle"] = check_roots_box_oracle(fan, box)
     checks["cone_condition_redundant"] = check_cone_condition_redundant(fan)
     checks["collections_bases_bijection"] = \
-        check_collections_bases_bijection(fan)
+        check_collections_bases_bijection(fan, c.collections)
     if c.admits_action:
         checks["classes_match_wideness"] = (c.num_classes == 1) == bool(c.wide)
         assert c.family is not None and c.normalized_action is not None

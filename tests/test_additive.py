@@ -1,10 +1,13 @@
 import itertools
 import random
+import re
+from functools import cache
 from math import gcd
 
 import pytest
 
 from toric_additive.additive import (
+    AdmissibleBasis,
     all_admissible_bases,
     classify,
     classify_rays,
@@ -14,9 +17,17 @@ from toric_additive.additive import (
     is_wide,
 )
 from toric_additive.catalog import example_fan
-from toric_additive.errors import UnsupportedDimension
+from toric_additive.coxring import action_ring, build_lnd_family, lnd_from_root
+from toric_additive.errors import NegativeExponent, UnsupportedDimension
 from toric_additive.fan import build_fan
-from toric_additive.lattice import det2, pairing
+from toric_additive.lattice import (
+    det2,
+    octant_coords,
+    pairing,
+    unimodular_duals,
+    vneg,
+    xgcd,
+)
 from toric_additive.roots import octant_root_counts, roots_by_ray
 from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 
@@ -285,3 +296,88 @@ def test_d_is_basis_independent():
         c = classify(fan, with_actions=False)
         assert c.d == ds.pop()
         assert c.wide is wides.pop()
+
+
+def _permutations_bases(rays):
+    """Reference: the search over ordered pairs in permutations order."""
+    out = []
+    for perm in itertools.permutations(range(len(rays)), 2):
+        if abs(det2(rays[perm[0]], rays[perm[1]])) != 1:
+            continue
+        duals = unimodular_duals([rays[i] for i in perm])
+        nonbasis = tuple(j for j in range(len(rays)) if j not in perm)
+        alpha = []
+        for j in nonbasis:
+            row = octant_coords(rays[j], duals)
+            if min(row) < 0:
+                break
+            alpha.append(row)
+        else:
+            out.append(AdmissibleBasis(rays=tuple(rays), basis_indices=perm,
+                                       duals=duals, nonbasis_indices=nonbasis,
+                                       alpha=tuple(alpha)))
+    return tuple(out)
+
+
+@cache
+def _reference_fans():
+    """All complete fans of primitive_pool(2), then 400 of them moved by
+    seeded GL2(Z) maps with entries up to 50 and their rays shuffled."""
+    fans = [tuple(rays) for rays in enumerate_complete_fans(primitive_pool(2))]
+    rng = random.Random(53)
+    images = []
+    for rays in rng.sample(fans, 400):
+        g = 0
+        while g != 1:
+            a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+            g, x, y = xgcd(a, b)
+        sign = rng.choice((1, -1))
+        m = ((a, b), (-sign * y, sign * x))
+        moved = [(m[0][0] * u + m[0][1] * v, m[1][0] * u + m[1][1] * v)
+                 for u, v in rays]
+        rng.shuffle(moved)
+        images.append(tuple(moved))
+    return fans + images
+
+
+def test_basis_search_matches_permutations_reference():
+    # each unordered pair is tested once and yields both orders; the
+    # result, and its order, is that of the ordered-pair search
+    admitting = 0
+    for rays in _reference_fans():
+        want = _permutations_bases(rays)
+        assert all_admissible_bases(rays, validate=False) == want, rays
+        assert find_admissible_basis(rays, validate=False) == \
+            (want[0] if want else None), rays
+        admitting += bool(want)
+    assert admitting > 3325
+
+
+def test_lnd_family_matches_lnd_from_root():
+    # the family read from the two dual pairing rows equals the one built
+    # root by root, char tags included, on every admitting fan
+    families = 0
+    for rays in _reference_fans():
+        c = classify(build_fan(rays), with_actions=False)
+        if not c.admits_action:
+            continue
+        basis, d = c.basis, c.d
+        family = build_lnd_family(basis, d)
+        ring = action_ring(len(rays))
+        i1, i2 = basis.basis_indices
+        b1, b2 = basis.duals
+        assert family.delta == lnd_from_root(ring, rays, vneg(b1), i1)
+        assert family.partials == tuple(
+            lnd_from_root(ring, rays, (k * b1[0] - b2[0], k * b1[1] - b2[1]),
+                          i2) for k in range(d + 1))
+        assert family.delta.char == vneg(b1)
+        # one partial too many pairs negatively with some ray, and both
+        # routes refuse it with the same message
+        e = ((d + 1) * b1[0] - b2[0], (d + 1) * b1[1] - b2[1])
+        with pytest.raises(NegativeExponent) as direct:
+            lnd_from_root(ring, rays, e, i2)
+        with pytest.raises(NegativeExponent,
+                           match=re.escape(str(direct.value))):
+            build_lnd_family(basis, d + 1)
+        families += 1
+    assert families > 3325

@@ -397,9 +397,39 @@ def test_sweep_violations_exit_3(capsys, monkeypatch):
                         lambda c, box, seed: {"all_pass": False,
                                               "checks": {"planted": False}})
     code, out, err = run_cli(capsys, "sweep", "--bound", "1")
-    assert code == 3 and not err
+    # stderr holds the progress line alone: a violation is reported on
+    # stdout and in the exit code, not as an error
+    assert code == 3 and err == "light phase: 122 fans\n"
     assert out.splitlines()[-1].startswith(
         "VIOLATIONS: {'verification': ")
+
+
+def test_sweep_progress_on_stderr(capsys, monkeypatch):
+    # 3,325 admitting fans at bound 2; with stride 5, 665 are checked, so
+    # the heavy phase reports at 200, 400 and 600.  Stdout is the report
+    # alone, the same as a run without progress.
+    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+    checked = []
+    monkeypatch.setattr("toric_additive.sweep.verification_report",
+                        lambda c, box, seed: checked.append(c) or
+                        {"all_pass": True, "checks": {}})
+    argv = ("sweep", "--bound", "2", "--heavy-stride", "5",
+            "--nonadmitting-stride", "1000", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == ["light phase: 11396 fans",
+                                "heavy phase: 200 fans",
+                                "heavy phase: 400 fans",
+                                "heavy phase: 600 fans"]
+    doc = json.loads(out)
+    assert (doc["heavy_checked"], doc["nonadmitting_sampled"]) == (665, 9)
+    assert len(checked) == 665 + 9
+    monkeypatch.setattr("toric_additive.cli._progress", None)
+    code, quiet, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    timing = ("t_enumerate_light", "t_heavy")
+    assert ({k: v for k, v in json.loads(quiet).items() if k not in timing}
+            == {k: v for k, v in doc.items() if k not in timing})
 
 
 @pytest.mark.parametrize("error,prefix", [

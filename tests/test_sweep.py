@@ -89,7 +89,7 @@ def _recursive_walk(pool, min_rays, max_rays, bad):
 def test_walk_matches_recursive_reference(min_rays, max_rays):
     bad, _ = _pair_tables(POOL2)
     got = [(tuple(chain), sorted(pairs))
-           for chain, pairs in _walk(POOL2, min_rays, max_rays, bad)]
+           for chain, _, pairs in _walk(POOL2, min_rays, max_rays, bad)]
     want = [(tuple(chain), sorted(pairs)) for chain, pairs in
             _recursive_walk(POOL2, min_rays, max_rays, bad)]
     assert got == want
@@ -112,7 +112,7 @@ def test_walk_sequence_at_bound_3_is_pinned():
     digest = hashlib.sha256()
     admitting = []
     count = 0
-    for chain, pairs in _walk(pool, 3, 6, bad):
+    for chain, _, pairs in _walk(pool, 3, 6, bad):
         digest.update(bytes((len(chain), *chain)))
         if pairs:
             digest.update(repr(sorted(pairs)).encode())
@@ -132,11 +132,12 @@ def test_walk_sequence_at_bound_3_is_pinned():
 def test_walker_pairs_match_per_fan_recomputation(min_rays, max_rays):
     bad, _ = _pair_tables(POOL2)
     fans = 0
-    for chain, pairs in _walk(POOL2, min_rays, max_rays, bad):
+    for chain, walked_mask, pairs in _walk(POOL2, min_rays, max_rays, bad):
         fans += 1
         mask = 0
         for k in chain:
             mask |= 1 << k
+        assert walked_mask == mask, chain
         want = {(i, j, bad[i][j])
                 for a, i in enumerate(chain) for j in chain[a + 1:]
                 if bad[i][j] is not None and not bad[i][j] & mask}
@@ -209,7 +210,7 @@ def test_d_depends_on_basis_fires(monkeypatch):
     bad, _ = _pair_tables(POOL2)
     shared = Counter()
     multi = 0
-    for _, pairs in _walk(POOL2, 3, 6, bad):
+    for _, _, pairs in _walk(POOL2, 3, 6, bad):
         if len(pairs) > 1:
             multi += 1
             shared.update((i, j) for i, j, _ in pairs)
@@ -302,7 +303,7 @@ def _per_fan_light(pool, min_rays, max_rays):
     bad, quotients = sweep._pair_tables(pool)
     total = 0
     histogram, violations = Counter(), Counter()
-    for chain, pairs in _walk(pool, min_rays, max_rays, bad):
+    for chain, _, pairs in _walk(pool, min_rays, max_rays, bad):
         total += 1
         if not pairs:
             continue
@@ -363,7 +364,7 @@ def test_quotient_minima_cover_every_ray_of_the_fan(monkeypatch):
 
     monkeypatch.setattr(sweep, "_pair_tables", lowered)
     neighbour = inside = 0
-    for chain, pairs in _walk(POOL2, 3, 6, bad):
+    for chain, _, pairs in _walk(POOL2, 3, 6, bad):
         if pairs and min(pairs)[:2] == (i, j) and k in chain:
             pos = chain.index(k)
             if {chain[pos - 1], chain[(pos + 1) % len(chain)]} & {i, j}:
@@ -385,7 +386,7 @@ def test_violation_witnesses_are_admitting_fans(monkeypatch):
     monkeypatch.setattr(sweep, "root_interval", widened)
     bad, quotients = _pair_tables(POOL2)
     admitting = {tuple(chain): min(pairs)
-                 for chain, pairs in _walk(POOL2, 3, 6, bad) if pairs}
+                 for chain, _, pairs in _walk(POOL2, 3, 6, bad) if pairs}
     index = {v: k for k, v in enumerate(POOL2)}
     r, _ = _light(3, 6)
     details = r.violations["root_count_mismatch"]
@@ -419,6 +420,42 @@ def test_heavy_sweep_refuses_fans_the_walk_does_not_find(monkeypatch):
     strides = {"heavy_stride": 10**6, "nonadmitting_stride": 10**6}
     assert run_sweep(bound=2, **strides).all_clean
     monkeypatch.setattr(sweep, "_admitting_fans", swapped)
+    with pytest.raises(InternalInconsistency, match="the walk's admitting "
+                       "fans differ from the generator's"):
+        run_sweep(bound=2, **strides)
+
+
+def test_heavy_sweep_digest_sees_masks_that_keep_their_sum(monkeypatch):
+    # two generated fans trade a ray each, so the plain sum of all masks
+    # stays the same; the digest mixes each mask, so the sweep still sees
+    # that the generator's fans are not the walk's
+    def only(a, b):
+        return (a & ~b) & -(a & ~b)  # the lowest bit of a that b lacks
+
+    def trades(m1, m2):
+        # each has a ray the other lacks, and they differ in more rays, so
+        # the trade is not just the two masks swapped
+        return only(m1, m2) and only(m2, m1) and bin(m1 ^ m2).count("1") > 2
+
+    def traded(*args):
+        pairs = [(i, j, list(fans), multi)
+                 for i, j, fans, multi in _admitting_fans(*args)]
+        masks = [mask for _, _, fans, _ in pairs for _, mask in fans]
+        # fan 0 is the one fan the stride sends to the oracles
+        m1 = masks[1]
+        n2 = next(n for n in range(2, len(masks)) if trades(m1, masks[n]))
+        m2 = masks[n2]
+        a, b = only(m1, m2), only(m2, m1)
+        planted = {1: m1 - a + b, n2: m2 + a - b}
+        assert sum(planted.values()) == m1 + m2
+        assert sorted(planted.values()) != sorted((m1, m2))
+        n = iter(range(len(masks)))
+        for i, j, fans, multi in pairs:
+            yield i, j, [(key, planted.get(next(n), mask))
+                         for key, mask in fans], multi
+
+    strides = {"heavy_stride": 10**6, "nonadmitting_stride": 10**6}
+    monkeypatch.setattr(sweep, "_admitting_fans", traded)
     with pytest.raises(InternalInconsistency, match="the walk's admitting "
                        "fans differ from the generator's"):
         run_sweep(bound=2, **strides)

@@ -8,7 +8,11 @@ from math import lcm
 import pytest
 
 from toric_additive import coxring, verify
-from toric_additive.additive import classify, find_admissible_basis
+from toric_additive.additive import (
+    classify,
+    complete_collections,
+    find_admissible_basis,
+)
 from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
@@ -125,6 +129,37 @@ def test_roots_box_oracle_catalog(name):
     assert check_roots_box_oracle(fan, 10)
     assert check_cone_condition_redundant(fan)
     assert check_collections_bases_bijection(fan)
+
+
+def test_bijection_reads_the_collections_it_is_handed(monkeypatch):
+    # classify's collections are handed over as they are: a dropped or a
+    # duplicated one breaks the bijection, and verification_report uses
+    # them without computing the collections again
+    calls = []
+
+    def counted(fan):
+        calls.append(fan)
+        return complete_collections(fan)
+
+    for name in CATALOG:
+        c = classify(build_fan(example_fan(name)))
+        colls = c.collections
+        assert colls
+        monkeypatch.setattr(verify, "complete_collections", counted)
+        assert check_collections_bases_bijection(c.fan, colls)
+        assert not check_collections_bases_bijection(c.fan, colls[1:])
+        assert not check_collections_bases_bijection(c.fan,
+                                                     colls + colls[-1:])
+        assert verification_report(c)["checks"][
+            "collections_bases_bijection"]
+        assert not verification_report(replace(c, collections=colls[1:]))[
+            "checks"]["collections_bases_bijection"]
+        assert calls == []
+        # with the fan alone, it computes them
+        assert check_collections_bases_bijection(c.fan)
+        assert calls == [c.fan]
+        calls.clear()
+        monkeypatch.undo()
 
 
 def test_roots_box_oracle_detects_escaping_roots():
