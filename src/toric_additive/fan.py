@@ -48,7 +48,6 @@ class Fan2:
     rays: tuple[LatticeVec, ...]
     cyclic_order: tuple[int, ...]
     maximal_cones: tuple[tuple[int, int], ...]
-    _adjacency: frozenset[frozenset[int]] = field(repr=False)
     _roots_by_ray: tuple | None = field(default=None, init=False,
                                         repr=False, compare=False)
 
@@ -89,9 +88,7 @@ def build_fan(rays) -> Fan2:
     if m < 3:
         raise TooFewRays(m)
     cones = tuple((order[k], order[(k + 1) % m]) for k in range(m))
-    adjacency = frozenset(frozenset(c) for c in cones)
-    return Fan2(rays=rays, cyclic_order=order, maximal_cones=cones,
-                _adjacency=adjacency)
+    return Fan2(rays=rays, cyclic_order=order, maximal_cones=cones)
 
 
 def adjacent(fan: Fan2, i: int, j: int) -> bool:
@@ -101,4 +98,4 @@ def adjacent(fan: Fan2, i: int, j: int) -> bool:
         raise IndexOutOfRange(f"ray index out of range for a fan with {m} rays")
     if i == j:
         return False
-    return frozenset((i, j)) in fan._adjacency
+    return (i, j) in fan.maximal_cones or (j, i) in fan.maximal_cones

@@ -43,7 +43,7 @@ a, b > 0, strictly inside the cone that p and q span.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cmp_to_key
 from itertools import combinations
 from typing import Callable, Iterator
@@ -360,25 +360,11 @@ class SweepReport:
             bucket.append(detail)
 
     def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "min_rays": self.min_rays,
-            "max_rays": self.max_rays,
-            "total_fans": self.total_fans,
-            "admitting": self.admitting,
-            "wide": self.wide,
-            "num_classes_counts": {str(k): v for k, v in
-                                   sorted(self.num_classes_counts.items())},
-            "d_histogram": {str(k): v for k, v in
-                            sorted(self.d_histogram.items())},
-            "heavy_checked": self.heavy_checked,
-            "nonadmitting_sampled": self.nonadmitting_sampled,
-            "t_enumerate_light": self.t_enumerate_light,
-            "t_heavy": self.t_heavy,
-            "violation_counts": dict(self.violation_counts),
-            "violations": {k: v for k, v in self.violations.items()},
-            "all_clean": self.all_clean,
-        }
+        out = asdict(self)
+        for key in ("num_classes_counts", "d_histogram"):
+            out[key] = {str(k): v for k, v in sorted(out[key].items())}
+        out["all_clean"] = self.all_clean
+        return out
 
 
 def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,

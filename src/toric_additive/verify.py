@@ -16,9 +16,8 @@ images.  The map is a G_a^2 action exactly when it is the identity at
 s = 0 and each image F_i satisfies dF_i/ds_j = D_j(F_i) (the proof is in
 ``check_group_law``), and for a G_a^2 action the stabilizer of a probe f
 is the kernel of s -> s1*D1(f) + s2*D2(f) (the proof is in
-``annihilator_profile``).  None of them composes or substitutes.  The
-invariant tags its probes with powers of a fresh variable, as the bracket
-table does, so each tangent derivation is applied once to all of them.
+``annihilator_profile``).  None of them composes or substitutes: the
+invariant applies each tangent derivation to each probe.
 """
 
 from __future__ import annotations
@@ -170,33 +169,17 @@ def check_collections_bases_bijection(
             and len(coll_sets) == len(colls))
 
 
-def _padded_sum(ring: PolyRing,
-                parts: Sequence[tuple[int, tuple[int, ...], Poly]]
-                ) -> Poly:
-    """The sum of c * x^pad * p over the (c, pad, p) in ``parts``.
-
-    ``ring`` is p's ring with fresh generators appended, ``pad`` holds
-    their exponents, each c is a nonzero int and the pads are distinct.
-    The numerators are padded and brought over one lcm denominator; as the
-    pads differ, no two terms land on the same monomial.
-    """
-    den = lcm(*(p.den for _, _, p in parts))
-    num = {}
-    for c, pad, p in parts:
-        k = c * (den // p.den)
-        for e, a in p.num.items():
-            num[e + pad] = a * k
-    return _reduced(ring, num, den)
-
-
 def _graded_sum(ring: PolyRing,
                 terms: Sequence[tuple[int, tuple[int, ...], Derivation]]
                 ) -> Derivation:
     """The sum of c * x^pad * D over the (c, pad, D) in ``terms``.
 
     ``ring`` is D's ring with fresh generators appended (t, u for the
-    bracket table), and entry i is the ``_padded_sum`` of the i-th entries
-    of the D's; the entries of the fresh generators are zero.
+    bracket table), ``pad`` holds their exponents, each c is a nonzero int
+    and the pads are distinct.  Entry i sums the padded numerators of the
+    i-th entries over one lcm denominator; as the pads differ, no two terms
+    land on the same monomial.  The entries of the fresh generators are
+    zero.
     """
     by_entry: dict[int, list[tuple[int, tuple[int, ...], Poly]]] = {}
     for c, pad, D in terms:
@@ -205,21 +188,14 @@ def _graded_sum(ring: PolyRing,
                 by_entry.setdefault(i, []).append((c, pad, p))
     entries = [Poly.zero(ring)] * ring.nvars
     for i, parts in by_entry.items():
-        entries[i] = _padded_sum(ring, parts)
+        den = lcm(*(p.den for _, _, p in parts))
+        num = {}
+        for c, pad, p in parts:
+            k = c * (den // p.den)
+            for e, a in p.num.items():
+                num[e + pad] = a * k
+        entries[i] = _reduced(ring, num, den)
     return Derivation(ring, tuple(entries))
-
-
-def _split_by_tag(p: Poly, n: int) -> list[dict]:
-    """The numerators of the coefficients of t^0, ..., t^(n-1) in p.
-
-    t is the last generator of p's ring, p has degree below n in t, and
-    each coefficient is its numerator, with t's exponent struck, over
-    p.den.
-    """
-    parts: list[dict] = [{} for _ in range(n)]
-    for e, c in p.num.items():
-        parts[e[-1]][e[:-1]] = c
-    return parts
 
 
 def check_bracket_table(family: LndFamily) -> bool:
@@ -459,36 +435,28 @@ class AnnihilatorReport:
 
 
 def _kernel(a: Poly, b: Poly) -> tuple[str, tuple[int, int] | None]:
-    """The kernel of s -> s1*a + s2*b as full, a line, or trivial."""
-    return _kernel_of(a.num, a.den, b.num, b.den)
+    """The kernel of s -> s1*a + s2*b as full, a line, or trivial.
 
-
-def _kernel_of(a_num: dict, a_den: int, b_num: dict, b_den: int
-               ) -> tuple[str, tuple[int, int] | None]:
-    """``_kernel`` of a = a_num / a_den and b = b_num / b_den.
-
-    The numerators map monomials to nonzero ints and need not be reduced
-    against their denominators.  The kernel is a line exactly when a and b
-    are proportional: a = alpha*g and b = beta*g with (alpha, beta) != 0,
-    and then it runs along (beta, -alpha), made primitive and
-    sign-normalized.
+    The kernel is a line exactly when a and b are proportional: a = alpha*g
+    and b = beta*g with (alpha, beta) != 0, and then it runs along
+    (beta, -alpha), made primitive and sign-normalized.
     """
-    if not a_num and not b_num:
+    if not a.num and not b.num:
         return "full", None
-    if not a_num:
+    if not a.num:
         alpha, beta = 0, 1
-    elif not b_num:
+    elif not b.num:
         alpha, beta = 1, 0
     else:
-        if a_num.keys() != b_num.keys():
+        if a.num.keys() != b.num.keys():
             return "none", None
-        # the ratio of one coefficient pair, alpha/beta = (p/a_den)/(q/b_den),
+        # the ratio of one coefficient pair, alpha/beta = (p/a.den)/(q/b.den),
         # must hold at every monomial
-        e0 = next(iter(a_num))
-        p, q = a_num[e0], b_num[e0]
-        if any(c * q != b_num[e] * p for e, c in a_num.items()):
+        e0 = next(iter(a.num))
+        p, q = a.num[e0], b.num[e0]
+        if any(c * q != b.num[e] * p for e, c in a.num.items()):
             return "none", None
-        alpha, beta = p * b_den, q * a_den
+        alpha, beta = p * b.den, q * a.den
     w, _ = primitive((beta, -alpha))
     return "line", (vneg(w) if w < (0, 0) else w)
 
@@ -514,16 +482,6 @@ def annihilator_profile(action: ActionMap,
     v1*D1(f) + v2*D2(f) = 0.  The action enters only through its map,
     not through the derivations that built it, and no probe is
     substituted.
-
-    All probe images come from one apply per tangent derivation.  Append a
-    fresh generator t, tag probe f_k with t^k and apply each D_j, lifted to
-    the larger ring with D_j(t) = 0, to F = sum_k t^k f_k.  By the Leibniz
-    rule D_j(t^k f_k) = t^k D_j(f_k) + k t^(k-1) D_j(t) f_k = t^k D_j(f_k),
-    and D_j(f_k) is free of t, as f_k and the entries of D_j are; so
-    D_j(F) = sum_k t^k D_j(f_k) with the k-th summand exactly the part of
-    D_j(F) of degree k in t.  Splitting D_j(F)'s numerator by the exponent
-    of t gives each D_j(f_k) as a numerator over D_j(F)'s denominator, and
-    the kernel is read from these without reducing them.
     """
     basis = family.basis
     i2 = basis.basis_indices[1]
@@ -539,18 +497,12 @@ def annihilator_profile(action: ActionMap,
     tangent = _read_at_zero(action)[1]
     if tangent is None:
         raise InternalInconsistency("an image involves spare parameters")
-    tagged = PolyRing(ring.names + ("t",))
-    spread = _padded_sum(tagged, [(1, (k,), f)
-                                  for k, (_, f) in enumerate(probes)])
-    d1, d2 = (_graded_sum(tagged, [(1, (0,), d)]) for d in tangent)
-    n = len(probes)
-    a, b = d1.apply(spread), d2.apply(spread)
+    d1, d2 = tangent
     results = []
     lines = set()
     full = []
-    for (label, _), a_num, b_num in zip(probes, _split_by_tag(a, n),
-                                        _split_by_tag(b, n)):
-        kind, line = _kernel_of(a_num, a.den, b_num, b.den)
+    for label, f in probes:
+        kind, line = _kernel(d1.apply(f), d2.apply(f))
         results.append(ProbeResult(label=label, kind=kind, line=line))
         if kind == "line":
             lines.add(line)

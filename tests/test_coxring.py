@@ -223,10 +223,9 @@ def _count_applies(monkeypatch):
 
 
 def test_high_d_oracles_in_counted_applies(monkeypatch):
-    # the profile applies each tangent derivation once, to the d + 4
-    # probes tagged by powers of a fresh t; the group law applies each
-    # once to each image but those that are x_i itself, here all but the
-    # two basis coordinates
+    # the profile applies each tangent derivation once to each of its
+    # d + 4 probes; the group law applies each once to each image but
+    # those that are x_i itself, here all but the two basis coordinates
     for name in ("f:1", "f:32"):
         c = classify(build_fan(example_fan(name)))
         for action, cls in ((c.normalized_action, ActionClass.NORMALIZED),
@@ -234,7 +233,7 @@ def test_high_d_oracles_in_counted_applies(monkeypatch):
                              ActionClass.NON_NORMALIZED)):
             count = _count_applies(monkeypatch)
             report = annihilator_profile(action, c.family)
-            assert count[0] == 2
+            assert count[0] == 2 * len(report.probes)
             assert classify_profile(report) == cls
             monkeypatch.undo()
             count = _count_applies(monkeypatch)
