@@ -661,16 +661,47 @@ class ActionMap:
         return substitute(self.images, sub)
 
 
+def _flow(d1: Derivation, d2: Derivation) -> Derivation:
+    """The derivation s1*d1 + s2*d2, each moved entry built in one dict.
+
+    With a = d1(x_i), b = d2(x_i) and L = lcm(a.den, b.den), entry i is
+    the int dict of a's terms times L // a.den with the s1 exponent raised
+    by one, and b's times L // b.den with the s2 exponent raised, over L,
+    reduced once.  An entry that neither d1 nor d2 moves stays zero.
+    """
+    ring = d1.ring
+    j1, j2 = ring.index("s1"), ring.index("s2")
+    entries = []
+    for a, b in zip(d1.entries, d2.entries):
+        if not (a.num or b.num):
+            entries.append(a)
+            continue
+        den = lcm(a.den, b.den)
+        num: dict[tuple[int, ...], int] = {}
+        get = num.get
+        for p, j in ((a, j1), (b, j2)):
+            k = den // p.den
+            for e, c in p.num.items():
+                f = e[:j] + (e[j] + 1,) + e[j + 1:]
+                acc = get(f, 0) + c * k
+                if acc:
+                    num[f] = acc
+                else:  # only a term of b can cancel one of a
+                    del num[f]
+        entries.append(_reduced(ring, num, den))
+    return Derivation(ring, tuple(entries))
+
+
 def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     """Exponentiate the pair s1*d1 + s2*d2 into a polynomial action map.
 
     The pair must commute; each coordinate must be annihilated by enough
     iterations of the derivation, otherwise the pair is not locally
     nilpotent and no polynomial action exists.  Each moved coordinate's
-    image is one exp series of the flow s1*d1 + s2*d2, which applies the
-    flow's plan at every step and sums its terms once; a coordinate that
-    neither d1 nor d2 moves is fixed: its flow entry is zero, built with no
-    product, and its image is x_i with no series.
+    image is one exp series of the flow s1*d1 + s2*d2 (see ``_flow``),
+    which applies the flow's plan at every step and sums its terms once; a
+    coordinate that neither d1 nor d2 moves is fixed: its flow entry is
+    zero and its image is x_i with no series.
     """
     if d1.ring != d2.ring:
         raise VariableMismatch("derivations live in different rings")
@@ -678,10 +709,7 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     if not commutator(d1, d2).is_zero:
         raise NotCommuting(
             "exp(s1*D1 + s2*D2) is a group action only for commuting pairs")
-    s1 = Poly.var(ring, ring.index("s1"))
-    s2 = Poly.var(ring, ring.index("s2"))
-    flow = Derivation(ring, tuple(a * s1 + b * s2 if a.num or b.num else a
-                                  for a, b in zip(d1.entries, d2.entries)))
+    flow = _flow(d1, d2)
     images = tuple(
         _exp_series(Poly.var(ring, i), flow.apply,
                     lambda: f"flow of {ring.names[i]}")

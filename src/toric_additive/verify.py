@@ -1,12 +1,13 @@
 """Independent verification oracles.
 
 Each check here recomputes a result by a route different from the one the
-main modules take: roots by scanning each ray's line <p_i, e> = -1 point
-by point across a box instead of by interval arithmetic, and by testing
-each root against every ray where the enumeration reads only two
-neighbours; the bracket table by two brackets of graded sums over fresh
-variables, instead of bracketing each pair of derivations; open orbits by
-a nonzero m x m determinant at rational points; and the two isomorphism
+main modules take: roots by walking each ray's line <p_i, e> = -1 point
+by point across a box, from its first point in the box by a fixed step,
+instead of by interval arithmetic, and by testing each point against every
+ray where the enumeration reads only two neighbours; the bracket table by
+two brackets of graded sums over fresh variables, instead of bracketing
+each pair of derivations; open orbits by a nonzero m x m determinant at
+rational points, on rows of ints at an int point; and the two isomorphism
 classes by an invariant (annihilator lines of degree-component elements)
 that does not look at how the actions were produced.
 
@@ -25,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from functools import lru_cache
+from math import lcm, prod
 from typing import Sequence
 
 from .additive import (
@@ -93,32 +95,67 @@ def _others_allow(others: list[tuple[LatticeVec, bool]], e: CharVec) -> bool:
     return True
 
 
+def _line_in_box(a: int, b: int, box: int
+                 ) -> tuple[CharVec, CharVec, int]:
+    """(first point, step, count) of the line a*ex + b*ey = -1 in the box.
+
+    The line's points with both coordinates in [-box, box] are first +
+    k*step for k in range(count); count is 0 when there are none.  For
+    b != 0 the columns ex whose point has |ey| <= box form an interval; the
+    first of them with an integer ey is found by exact division, within |b|
+    columns as gcd(a, b) = 1, and the step is (|b|, -a*sign(b)).  For b = 0
+    (so a = +-1) the line is the column ex = -a, walked upwards.
+    """
+    if not b:
+        if -box <= -a <= box:
+            return (-a, -box), (0, 1), 2 * box + 1
+        return (0, 0), (0, 0), 0
+    # |ey| <= box reads -1 - r <= a*ex <= r - 1 with r = |b|*box
+    r, c = abs(b) * box, abs(a)
+    lo, hi = -box, box
+    if a > 0:
+        lo, hi = max(lo, -((r + 1) // c)), min(hi, (r - 1) // c)
+    elif a < 0:
+        lo, hi = max(lo, -((r - 1) // c)), min(hi, (r + 1) // c)
+    elif not r:
+        hi = lo - 1  # the row ey = -b lies outside the box
+    ex, end = lo, min(hi, lo + abs(b) - 1)
+    ey, rem = divmod(-1 - a * ex, b)
+    while rem and ex < end:
+        ex += 1
+        ey, rem = divmod(-1 - a * ex, b)
+    if rem or ex > hi:
+        return (0, 0), (0, 0), 0
+    return (ex, ey), (abs(b), -a if b > 0 else a), (hi - ex) // abs(b) + 1
+
+
 def brute_force_roots(fan: Fan2, box: int = 10) -> frozenset[DemazureRoot]:
     """All roots with both coordinates in [-box, box], by direct line scan.
 
-    A root e of ray i = (a, b) lies on the line a*ex + b*ey = -1, so only
-    that line's points in the box are visited: for b != 0 each column ex
-    gives at most one ey, by exact division; for b = 0 (so a = +-1) the line
-    is the column ex = -a.  Each point is then tested against every other
-    ray directly: its pairing must be >= 0, and a pairing of 0 needs the two
-    rays to span a cone.
+    A root e of ray i lies on the line <p_i, e> = -1, so only that line's
+    points in the box are visited, walked from the first one by a fixed
+    step (see ``_line_in_box``).  Each point is tested against every other
+    ray j: its pairing must be >= 0, and a pairing of 0 needs the two rays
+    to span a cone.  Along the walk the pairing at step k is w0 + k*dw,
+    with w0 and dw the pairings of p_j with the first point and with the
+    step, so the walk takes two pairings per line and ray and tests each
+    point with no function call.
     """
     found = set()
-    span = range(-box, box + 1)
     for i, (a, b) in enumerate(fan.rays):
-        if b:
-            line = []
-            for ex in span:
-                ey, r = divmod(-1 - a * ex, b)
-                if not r and -box <= ey <= box:
-                    line.append((ex, ey))
-        elif -box <= -a <= box:
-            line = [(-a, ey) for ey in span]
-        else:
+        first, step, n = _line_in_box(a, b, box)
+        if not n:
             continue
-        others = _others(fan, i)
-        found.update(DemazureRoot(e=e, ray=i) for e in line
-                     if _others_allow(others, e))
+        steps = range(n)
+        for p, beside in _others(fan, i):
+            w0, dw = pairing(p, first), pairing(p, step)
+            steps = ([k for k in steps if w0 + k * dw >= 0] if beside
+                     else [k for k in steps if w0 + k * dw > 0])
+            if not steps:
+                break
+        (x0, y0), (sx, sy) = first, step
+        found.update(DemazureRoot(e=(x0 + k * sx, y0 + k * sy), ray=i)
+                     for k in steps)
     return frozenset(found)
 
 
@@ -365,6 +402,38 @@ def check_root_lnd_degree_zero(c: Classification) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
+def _seeded_points(seed: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The five points ``check_open_orbit`` tries, drawn from Random(seed).
+
+    Each coordinate is randint(1, 9), point after point, so a verdict does
+    not depend on how many points an earlier call needed.
+    """
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randint(1, 9) for _ in range(m))
+                 for _ in range(5))
+
+
+def _tangent_row(d: Derivation, pt: Sequence) -> list:
+    """(d(x_1), ..., d(x_m)) at pt, times the lcm L of their denominators.
+
+    Entry i is the numerator of d(x_i) evaluated at pt, times L // den; a
+    term that involves a generator past x_m (a parameter) counts as zero
+    there.  For an int point every entry is an int.
+    """
+    m = len(pt)
+    moved = [(i, q) for i, q in enumerate(d.entries[:m]) if q.num]
+    den = lcm(*(q.den for _, q in moved))
+    row = [0] * m
+    for i, q in moved:
+        total = 0
+        for e, c in q.num.items():
+            if not any(e[m:]):
+                total += c * prod(map(pow, pt, e))
+        row[i] = total * (den // q.den)
+    return row
+
+
 def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
                      point: Sequence | None = None, seed: int = 0) -> bool:
     """Exact full-rank test for the orbit through a rational point.
@@ -372,36 +441,34 @@ def check_open_orbit(d1: Derivation, d2: Derivation, grading: ClGrading, *,
     The rows are the two vector fields evaluated at the point followed by
     the m - 2 quasitorus directions read off the grading; a nonzero m x m
     determinant means the orbit of the combined group is dense, which is
-    what the action construction promises.  A rank drop at one point can be
-    bad luck, so without an explicit point five seeded points are tried.
+    what the action construction promises.  Each vector field row is
+    scaled by the lcm of its entries' denominators, which leaves the
+    determinant's zeroness as it was, so at an int point every row is of
+    ints.  Only a point with a non-integer coordinate leaves fractions in
+    the rows, and each row is then cleared of its own denominators.  A
+    rank drop at one point can be bad luck, so without an explicit point
+    five seeded points are tried.
     """
     m = len(grading.degrees)
-    ring = d1.ring
+    degrees = grading.degrees
 
-    def full_rank_at(pt: list) -> bool:
-        vals = [0] * ring.nvars
-        for i, c in enumerate(pt):
-            vals[i] = c
-        rows = [[d.entries[i].eval(vals) if d.entries[i].num else 0
-                 for i in range(m)] for d in (d1, d2)]
+    def full_rank_at(pt: Sequence) -> bool:
+        rows = [_tangent_row(d1, pt), _tangent_row(d2, pt)]
         for k in range(m - 2):
-            rows.append([grading.degrees[i][k] * pt[i] for i in range(m)])
-        return mat_det([integer_row(r) for r in rows]) != 0
+            rows.append([g[k] * c for g, c in zip(degrees, pt)])
+        if any(type(c) is not int for c in pt):
+            rows = [integer_row(r) for r in rows]
+        return mat_det(rows) != 0
 
     if point is not None:
-        pt = [_exact(c) for c in point]
+        pt = [c if type(c) is int else _exact(c) for c in point]
         if len(pt) != m:
             raise LengthMismatch(f"need {m} coordinates, got {len(pt)}")
         if any(c == 0 for c in pt):
             raise ZeroCoordinate(
                 "orbit test points must avoid the coordinate hyperplanes")
         return full_rank_at(pt)
-    rng = random.Random(seed)
-    for _ in range(5):
-        pt = [rng.randint(1, 9) for _ in range(m)]
-        if full_rank_at(pt):
-            return True
-    return False
+    return any(full_rank_at(pt) for pt in _seeded_points(seed, m))
 
 
 class ActionClass(Enum):

@@ -643,13 +643,19 @@ def _ref_exp_series(x, op):
     raise AssertionError("the reference series did not terminate")
 
 
-def _ref_exp_action_images(d1, d2):
-    """Reference: one running-sum series per coordinate, fixed ones too."""
+def _ref_flow(d1, d2):
+    """Reference: the flow a*s1 + b*s2 by Poly products and sums."""
     ring = d1.ring
     s1 = Poly.var(ring, ring.index("s1"))
     s2 = Poly.var(ring, ring.index("s2"))
-    flow = Derivation(ring, tuple(a * s1 + b * s2
+    return Derivation(ring, tuple(a * s1 + b * s2
                                   for a, b in zip(d1.entries, d2.entries)))
+
+
+def _ref_exp_action_images(d1, d2):
+    """Reference: one running-sum series per coordinate, fixed ones too."""
+    ring = d1.ring
+    flow = _ref_flow(d1, d2)
     return tuple(_ref_exp_series(Poly.var(ring, i), flow.apply)
                  for i in range(ring.index("s1")))
 
@@ -669,7 +675,11 @@ def test_exp_series_matches_running_sum_reference():
             pairs.append((fam.delta + fam.partials[fam.d], fam.partials[0]))
         for (d1, d2), act in zip(pairs, (c.normalized_action,
                                          c.non_normalized_action)):
-            assert act.images == _ref_exp_action_images(d1, d2)
+            assert coxring._flow(d1, d2) == _ref_flow(d1, d2)
+            want = ActionMap(ring=act.ring,
+                             images=_ref_exp_action_images(d1, d2))
+            assert act.images == want.images
+            assert act.image_strings() == want.image_strings()
             fixed += sum(not (p.num or q.num)
                          for p, q in zip(d1.entries, d2.entries))
         top = fam.partials[fam.d]
@@ -685,6 +695,27 @@ def test_exp_series_matches_running_sum_reference():
     rng = random.Random(62)
     family = classify_rays(example_fan("f:62")).family
     normal_form([rng.randint(-9, 9) for _ in range(62)] + [1], family)
+
+
+def test_flow_matches_product_reference():
+    # entries over different denominators, entries that already hold s1
+    # or s2, a term of d2 that cancels one of d1, and fixed coordinates
+    cases = [
+        ({0: "1/2*x2*x3", 1: "x3^2 - 1/3"}, {1: "2/9*x3", 2: "x1*x2"}),
+        ({0: "x2*s2"}, {0: "-x2*s1 + 3/4*x3"}),
+        ({1: "s1^2 + 1/6*x1*s2"}, {1: "-1/6*x1*s1"}),
+        ({}, {2: "5/7"}),
+        ({}, {}),
+    ]
+    for im1, im2 in cases:
+        d1 = derivation(R3, {i: _p(t) for i, t in im1.items()})
+        d2 = derivation(R3, {i: _p(t) for i, t in im2.items()})
+        assert coxring._flow(d1, d2) == _ref_flow(d1, d2), (im1, im2)
+    # s1*(x2*s2) + s2*(-x2*s1) cancels: the entry is zero over den 1
+    d1 = derivation(R3, {0: _p("x2*s2")})
+    d2 = derivation(R3, {0: _p("-x2*s1")})
+    flow = coxring._flow(d1, d2)
+    assert flow.entries[0] == Poly.zero(R3) and flow.entries[0].den == 1
 
 
 def test_apply_plan_is_kept_and_never_shared():

@@ -41,7 +41,14 @@ from toric_additive.errors import (
     ZeroCoordinate,
 )
 from toric_additive.fan import adjacent, build_fan
-from toric_additive.lattice import pairing, primitive, vneg
+from toric_additive.lattice import (
+    integer_row,
+    mat_det,
+    pairing,
+    primitive,
+    vneg,
+    xgcd,
+)
 from toric_additive.roots import DemazureRoot, enumerate_roots_at
 from toric_additive.sweep import enumerate_complete_fans, primitive_pool
 from toric_additive.verify import (
@@ -107,20 +114,100 @@ def test_line_scan_matches_square_scan():
 
 
 def test_line_scan_cost_is_linear_in_box(monkeypatch):
-    # the square scan would make about 12M pairings here
-    cap, count = 20_000, [0]
+    # each line is walked over range(n), one step per line point in the
+    # box: at most one per column, while the square scan would visit
+    # 4,004,001 points per ray here
+    visited = []
 
-    def counted(p, e):
-        count[0] += 1
-        if count[0] > cap:
-            raise AssertionError(f"more than {cap} pairings")
-        return pairing(p, e)
+    def counted(*args):
+        steps = range(*args)
+        visited.append(len(steps))
+        return steps
 
-    monkeypatch.setattr(verify, "pairing", counted)
+    monkeypatch.setattr(verify, "range", counted, raising=False)
     fan = build_fan(example_fan("p2"))
     got = brute_force_roots(fan, 1000)
     assert len(got) == 6
     assert got == {r for i in range(3) for r in enumerate_roots_at(fan, i)}
+    assert len(visited) == 3 and sum(visited) <= 3 * (2 * 1000 + 1)
+
+
+def _column_scan_roots(fan, box):
+    """Reference: each ray's line found column by column, with one exact
+    division per column of the box, and each of its points tested against
+    every other ray."""
+    found = set()
+    span = range(-box, box + 1)
+    for i, (a, b) in enumerate(fan.rays):
+        if b:
+            line = [(ex, ey) for ex in span
+                    for ey, r in (divmod(-1 - a * ex, b),)
+                    if not r and -box <= ey <= box]
+        elif -box <= -a <= box:
+            line = [(-a, ey) for ey in span]
+        else:
+            continue
+        if not line:
+            continue
+        others = [(p, adjacent(fan, i, j))
+                  for j, p in enumerate(fan.rays) if j != i]
+        for e in line:
+            for p, beside in others:
+                w = pairing(p, e)
+                if w < 0 or (w == 0 and not beside):
+                    break
+            else:
+                found.add(DemazureRoot(e=e, ray=i))
+    return frozenset(found)
+
+
+def _gl2_images(fans, count, bound, seed):
+    """``count`` of the fans moved by seeded GL2(Z) maps whose entries are
+    at most bound / 4, so that no image coordinate exceeds ``bound`` when
+    the fans' coordinates are at most 2, with their rays shuffled."""
+    rng = random.Random(seed)
+    out = []
+    for rays in rng.sample(fans, count):
+        g = 0
+        while g != 1:
+            a, b = rng.randint(-bound // 4, bound // 4), \
+                rng.randint(-bound // 4, bound // 4)
+            g, x, y = xgcd(a, b)
+        sign = rng.choice((1, -1))
+        moved = [(a * u + b * v, -sign * y * u + sign * x * v)
+                 for u, v in rays]
+        rng.shuffle(moved)
+        out.append(tuple(moved))
+    return out
+
+
+def test_line_walk_matches_column_scan_reference():
+    # the walk from the first point in the box against the scan of every
+    # column: all fans with rays in [-2, 2]^2 at small boxes, then large
+    # images, each in the box that just holds its rays.  A root does not
+    # depend on the box, so the scan's roots in a smaller box are those of
+    # box 10 that fit in it.
+    fans = list(enumerate_complete_fans(primitive_pool(2)))
+    assert len(fans) == 11396
+    found = 0
+    for rays in fans:
+        fan = build_fan(rays)
+        scanned = _column_scan_roots(fan, 10)
+        for box in (0, 1, 2, 3, 10):
+            got = brute_force_roots(fan, box)
+            assert got == {r for r in scanned
+                           if max(map(abs, r.e)) <= box}, (rays, box)
+            found += len(got)
+    assert found > 11396
+    big = 0
+    for rays in _gl2_images(fans, 400, 10**4, 33):
+        box = max(abs(c) for r in rays for c in r)
+        assert box <= 10**4
+        big = max(big, box)
+        fan = build_fan(rays)
+        assert brute_force_roots(fan, box) == _column_scan_roots(fan, box), \
+            rays
+    assert big > 5000
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -508,6 +595,107 @@ def test_open_orbit_rational_point(name, point):
                             point=point)
     assert not check_open_orbit(fam.partials[0], fam.partials[1],
                                 fam.grading, point=point)
+
+
+def _eval_orbit_reference(d1, d2, grading, *, point=None, seed=0):
+    """Reference: the rows as Poly.eval Fractions, each cleared by
+    integer_row, and five points drawn from a fresh Random(seed), one point
+    at a time."""
+    m = len(grading.degrees)
+    ring = d1.ring
+
+    def full_rank_at(pt):
+        vals = list(pt) + [0] * (ring.nvars - m)
+        rows = [_eval_row(d, vals, m) for d in (d1, d2)]
+        rows += [[grading.degrees[i][k] * pt[i] for i in range(m)]
+                 for k in range(m - 2)]
+        return mat_det([integer_row(r) for r in rows]) != 0
+
+    if point is not None:
+        return full_rank_at([Fraction(c) for c in point])
+    rng = random.Random(seed)
+    return any(full_rank_at([rng.randint(1, 9) for _ in range(m)])
+               for _ in range(5))
+
+
+def _eval_row(d, vals, m):
+    return [d.entries[i].eval(vals) if d.entries[i].num else 0
+            for i in range(m)]
+
+
+# the points of test_open_orbit_rational_point, repeated to any length
+_RATIONAL_POINTS = ((1, Fraction(1, 2), Fraction(3, 7)),
+                    (Fraction(2, 3), Fraction(-5, 4), 3, Fraction(7, 2)))
+
+
+def _orbit_points(m):
+    return [tuple(pat[k % len(pat)] for k in range(m))
+            for pat in _RATIONAL_POINTS]
+
+
+def test_open_orbit_matches_eval_reference():
+    # the tangents of both actions of every admitting fan with rays in
+    # [-2, 2]^2 at seeds 0 to 4, and the degenerate pair partials[0],
+    # partials[d] at seed 0, where all five points are tried; then each of
+    # these pairs at both rational points
+    verdicts = Counter()
+    for c in _bound2_classifications():
+        fam = c.family
+        grading = fam.grading
+        pairs = [verify._read_at_zero(act)[1]
+                 for act in (c.normalized_action, c.non_normalized_action)
+                 if act is not None]
+        degenerate = (fam.partials[0], fam.partials[fam.d])
+        cases = [(pair, seed) for pair in pairs for seed in range(5)]
+        cases.append((degenerate, 0))
+        for pair, seed in cases:
+            want = _eval_orbit_reference(*pair, grading, seed=seed)
+            assert check_open_orbit(*pair, grading, seed=seed) == want, \
+                c.fan.rays
+            verdicts[pair is degenerate, want] += 1
+        for pair in pairs + [degenerate]:
+            for pt in _orbit_points(len(c.fan.rays)):
+                want = _eval_orbit_reference(*pair, grading, point=pt)
+                assert check_open_orbit(*pair, grading, point=pt) == want, \
+                    (c.fan.rays, pt)
+                verdicts[pair is degenerate, want] += 1
+    # every action has an open orbit, no degenerate pair has one
+    assert verdicts == {(False, True): 7 * (3325 + 1776),
+                        (True, False): 3 * 3325}
+
+
+def test_open_orbit_rows_match_eval_reference():
+    # torus-conjugated pairs have entries over different denominators:
+    # each row is the Fraction row times the lcm of its denominators, and
+    # (D, 6*D) stays degenerate however D's denominators differ
+    rng = random.Random(34)
+    classes = rng.sample(_bound2_classifications(), 60)
+    checked = 0
+    for c in classes:
+        fam = c.family
+        m = len(c.fan.rays)
+        t = [Fraction(rng.randint(1, 5), rng.randint(1, 5))
+             * rng.choice([-1, 1]) for _ in range(m)]
+        d1 = torus_conjugate(fam.delta, t) \
+            + torus_conjugate(fam.partials[fam.d], t)
+        d2 = torus_conjugate(fam.partials[0], t)
+        half = fam.delta.scale(Fraction(1, 2)) \
+            + fam.partials[0].scale(Fraction(1, 3))
+        points = [tuple(rng.randint(1, 9) for _ in range(m))]
+        points += _orbit_points(m)
+        for pair in ((d1, d2), (d2, d1), (half, half.scale(6))):
+            for pt in points:
+                vals = list(pt) + [0] * (fam.ring.nvars - m)
+                for d in pair:
+                    den = lcm(*(q.den for q in d.entries[:m] if q.num))
+                    assert verify._tangent_row(d, pt) == \
+                        [den * v for v in _eval_row(d, vals, m)]
+                    checked += den > 1
+                want = _eval_orbit_reference(*pair, fam.grading, point=pt)
+                assert check_open_orbit(*pair, fam.grading,
+                                        point=pt) == want
+                assert want is (pair[0] is not half)
+    assert checked > 200
 
 
 def test_annihilator_profile_p2():
