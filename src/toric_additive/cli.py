@@ -1,7 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage or input parsing problems (a ``verify
---box`` that cuts off some of the fan's roots among them), 2 rejected fan
+Exit codes: 0 success, 1 usage or input parsing problems, 2 rejected fan
 data, 3 internal inconsistency (a verification oracle or a cross-check
 failed, which indicates a bug rather than bad input).
 """
@@ -28,9 +27,9 @@ from .errors import (
 from .fan import Fan2, build_fan
 from .lattice import primitive
 from .render import fan_svg
-from .roots import all_roots, roots_by_ray
+from .roots import all_roots
 from .sweep import run_sweep
-from .verify import check_roots_box_oracle, verification_report
+from .verify import verification_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -301,17 +300,7 @@ def cmd_verify(args) -> _Result:
         lines.append(f"{check}: {'PASS' if ok else 'FAIL'}")
     lines.append("all checks passed" if rep["all_pass"]
                  else "SOME CHECKS FAILED")
-    code = EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
-    # a box too small for the fan's roots is a usage problem, not a bug,
-    # when the oracle passes on the smallest box that holds every root
-    if [k for k, ok in rep["checks"].items() if not ok] == ["roots_box_oracle"]:
-        reach = max((max(map(abs, r.e)) for rs in roots_by_ray(fan)
-                     for r in rs), default=0)
-        if reach > args.box and check_roots_box_oracle(fan, reach):
-            print(f"error: a root lies outside --box {args.box}; "
-                  f"--box {reach} holds every root", file=sys.stderr)
-            code = EXIT_USAGE
-    return rep, lines, code
+    return rep, lines, EXIT_OK if rep["all_pass"] else EXIT_INTERNAL
 
 
 def cmd_render(args) -> _Result:
@@ -342,8 +331,7 @@ def cmd_sweep(args) -> _Result:
                        max_rays=args.max_rays, heavy=not args.light,
                        heavy_stride=args.heavy_stride,
                        nonadmitting_stride=args.nonadmitting_stride,
-                       box=args.box, seed=_seed(args),
-                       progress=_progress)
+                       seed=_seed(args), progress=_progress)
     lines = [
         f"pool bound: {report.bound}, "
         f"rays {report.min_rays}..{report.max_rays}",
@@ -409,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[source, io, seeded],
                        help="run all verification oracles on one fan")
     p.add_argument("--box", type=_int_at_least(0), default=10,
-                   help="half-width of the brute force root search box")
+                   help="brute force root search box: at least this "
+                        "half-width; widened to hold every root")
     p.set_defaults(func=cmd_verify)
     p = sub.add_parser("render", parents=[source, io],
                        help="draw the fan and its roots as SVG")
@@ -432,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonadmitting-stride", type=_int_at_least(1),
                    default=997,
                    help="sample rate for double-checking non-admitting fans")
-    p.add_argument("--box", type=_int_at_least(0), default=10)
     p.set_defaults(func=cmd_sweep)
     return parser
 

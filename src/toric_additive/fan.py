@@ -60,10 +60,10 @@ def build_fan(rays) -> Fan2:
     """Validate rays and assemble the complete fan they generate.
 
     Raises TypeError or UnsupportedDimension (from int_rays), then
-    NotPrimitive, DuplicateRay, NotComplete or TooFewRays.  The
-    completeness test (every angular gap strictly below half a turn) is run
-    before the ray-count check, so two rays fail with NotComplete rather
-    than TooFewRays.
+    TooFewRays when there are no rays, then NotPrimitive, DuplicateRay or
+    NotComplete.  One or two rays always fail the completeness test (every
+    angular gap strictly below half a turn) with NotComplete, as some gap
+    is then at least half a turn.
     """
     rays = int_rays(rays)
     if not rays:
@@ -85,8 +85,6 @@ def build_fan(rays) -> Fan2:
         i, j = order[k], order[(k + 1) % m]
         if det2(rays[i], rays[j]) <= 0:
             raise NotComplete(i, j)
-    if m < 3:
-        raise TooFewRays(m)
     cones = tuple((order[k], order[(k + 1) % m]) for k in range(m))
     return Fan2(rays=rays, cyclic_order=order, maximal_cones=cones)
 

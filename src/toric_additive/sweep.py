@@ -369,7 +369,7 @@ class SweepReport:
 
 def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
               heavy: bool = True, heavy_stride: int = 1,
-              nonadmitting_stride: int = 997, box: int = 10, seed: int = 0,
+              nonadmitting_stride: int = 997, seed: int = 0,
               progress: Progress | None = None) -> SweepReport:
     """Enumerate all complete fans from the pool and cross-check them.
 
@@ -407,15 +407,15 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
     phase's.
 
     Raises ValueError, before any work, when bound < 1, min_rays < 3,
-    max_rays < min_rays, a stride is below 1 or box < 0, and before the
-    sweep when min_rays exceeds the pool size.  These select no fans, and
-    an empty sweep would read as clean.  Every length from 3 to the pool
-    size has fans, since any superset of a complete fan's rays is complete.
+    max_rays < min_rays or a stride is below 1, and before the sweep when
+    min_rays exceeds the pool size.  These select no fans, and an empty
+    sweep would read as clean.  Every length from 3 to the pool size has
+    fans, since any superset of a complete fan's rays is complete.
     """
     for name, value, least in (
             ("bound", bound, 1), ("min_rays", min_rays, 3),
             ("max_rays", max_rays, min_rays), ("heavy_stride", heavy_stride, 1),
-            ("nonadmitting_stride", nonadmitting_stride, 1), ("box", box, 0)):
+            ("nonadmitting_stride", nonadmitting_stride, 1)):
         if value < least:
             floor = f"min_rays = {least}" if name == "max_rays" else least
             raise ValueError(f"{name} must be at least {floor}; got {value}")
@@ -498,7 +498,7 @@ def run_sweep(bound: int = 3, min_rays: int = 3, max_rays: int = 6, *,
         return report
 
     def verify_fan(rays, c) -> None:
-        rep = verification_report(c, box=box, seed=seed)
+        rep = verification_report(c, seed=seed)
         if not rep["all_pass"]:
             failing = [k for k, v in rep["checks"].items() if not v]
             report.record_violation(

@@ -612,11 +612,18 @@ def verification_report(c: Classification, *, box: int = 10,
     """Run every applicable oracle against a classification.
 
     Returns a JSON-friendly dict with one boolean per named check and an
-    ``all_pass`` aggregate.
+    ``all_pass`` aggregate.  The root box oracle scans the half-width
+    ``box`` widened to hold every enumerated root, and ``"box"`` reads the
+    half-width scanned: the roots of a ray lie on a finite stretch of its
+    line, so no box is too small for valid input, and a wider scan still
+    finds a missing root inside the box asked for.
     """
     if c.admits_action and c.family is None:
         c = classify(c.fan)
     fan = c.fan
+    reach = max((max(map(abs, r.e)) for rs in roots_by_ray(fan)
+                 for r in rs), default=0)
+    box = max(box, reach)
     checks: dict[str, bool] = {}
     checks["roots_box_oracle"] = check_roots_box_oracle(fan, box)
     checks["cone_condition_redundant"] = check_cone_condition_redundant(fan)

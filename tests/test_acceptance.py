@@ -49,13 +49,13 @@ def announce(n: int, text: str) -> None:
 @pytest.fixture(scope="module")
 def sweep2():
     return run_sweep(bound=2, heavy=True, heavy_stride=1,
-                     nonadmitting_stride=5, box=10, seed=0)
+                     nonadmitting_stride=5, seed=0)
 
 
 @pytest.fixture(scope="module")
 def sweep3():
     return run_sweep(bound=3, heavy=True, heavy_stride=100,
-                     nonadmitting_stride=997, box=10, seed=0)
+                     nonadmitting_stride=997, seed=0)
 
 
 ROOT_TABLES = {

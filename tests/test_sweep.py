@@ -251,7 +251,6 @@ def test_light_loop_refuses_an_unbounded_side(monkeypatch):
     ({"heavy_stride": 0}, "heavy_stride"),
     ({"heavy_stride": -1}, "heavy_stride"),
     ({"nonadmitting_stride": 0}, "nonadmitting_stride"),
-    ({"box": -1}, "box"),
 ])
 def test_run_sweep_rejects_out_of_range_arguments(monkeypatch, kwargs, name):
     def refuse(*args):
@@ -469,7 +468,7 @@ def test_heavy_sweep_records_failed_verifications(monkeypatch):
     # (every 997th of 8,071) reach the oracles, and each one fails
     seen = []
 
-    def failing(c, box, seed):
+    def failing(c, box=10, seed=0):
         seen.append(tuple(c.fan.rays))
         return {"all_pass": False, "checks": {"planted": False}}
 

@@ -74,6 +74,18 @@ from toric_additive.verify import (
 
 CATALOG = ("p2", "p1xp1", "f1", "p112", "p113", "wide")
 
+# f:62 and P(1,1,62), with d = 62, the largest d whose actions fit in the
+# 64-step cap, and (1, 0), (0, 1), (-N-3, -N) with N = 10**7, whose
+# actions carry exponents of size N
+STRESS_RAYS = (example_fan("f:62"), ((1, 0), (0, 1), (-1, -62)),
+               ((1, 0), (0, 1), (-10**7 - 3, -10**7)))
+
+
+@cache
+def _stress_classifications():
+    """classify with actions of each fan of STRESS_RAYS."""
+    return tuple(classify(build_fan(rays)) for rays in STRESS_RAYS)
+
 
 def test_brute_force_roots_p2():
     fan = build_fan(example_fan("p2"))
@@ -184,9 +196,9 @@ def _gl2_images(fans, count, bound, seed):
 def test_line_walk_matches_column_scan_reference():
     # the walk from the first point in the box against the scan of every
     # column: all fans with rays in [-2, 2]^2 at small boxes, then large
-    # images, each in the box that just holds its rays.  A root does not
-    # depend on the box, so the scan's roots in a smaller box are those of
-    # box 10 that fit in it.
+    # images, each in the box that just holds its rays, and the stress fans
+    # at box 62.  A root does not depend on the box, so the scan's roots in
+    # a smaller box are those of box 10 that fit in it.
     fans = list(enumerate_complete_fans(primitive_pool(2)))
     assert len(fans) == 11396
     found = 0
@@ -208,6 +220,12 @@ def test_line_walk_matches_column_scan_reference():
         assert brute_force_roots(fan, box) == _column_scan_roots(fan, box), \
             rays
     assert big > 5000
+    found = Counter()
+    for c in _stress_classifications():
+        got = brute_force_roots(c.fan, 62)
+        assert got == _column_scan_roots(c.fan, 62), c.fan.rays
+        found[c.fan.rays[-1]] = len(got)
+    assert found == {(0, -1): 65, (-1, -62): 65, (-10**7 - 3, -10**7): 3}
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -496,15 +514,30 @@ def test_homogeneous_images_rejects_mixed_degrees():
     family = build_lnd_family(basis, 1)
     ring = family.ring
     images = tuple(Poly.var(ring, i) for i in range(4))
+    assert check_homogeneous_images(ActionMap(ring=ring, images=images),
+                                    family.grading)
     bad = ActionMap(ring=ring, images=(
         parse_poly(ring, "x1 + x2"),) + images[1:])
     assert not check_homogeneous_images(bad, family.grading)
+    # x_i^2 is homogeneous, but of twice the degree of x_i
+    for i, x in enumerate(images):
+        wrong = ActionMap(ring=ring, images=images[:i] + (x * x,)
+                          + images[i + 1:])
+        assert not check_homogeneous_images(wrong, family.grading), i
 
 
 def test_grading_relation_checks():
     c = _p2_actions()
     assert check_grading_relations(c.basis, c.family.grading)
     assert check_root_lnd_degree_zero(c)
+    # p2's degrees are all 1; doubling one breaks the relation of each
+    # character that pairs nonzero with its ray
+    assert c.family.grading.degrees == ((1,),) * 3
+    for i in range(3):
+        degrees = [(1,)] * 3
+        degrees[i] = (2,)
+        assert not check_grading_relations(
+            c.basis, ClGrading(degrees=tuple(degrees))), i
 
 
 def _degree_zero_by_lnd(c):
@@ -637,7 +670,8 @@ def test_open_orbit_matches_eval_reference():
     # the tangents of both actions of every admitting fan with rays in
     # [-2, 2]^2 at seeds 0 to 4, and the degenerate pair partials[0],
     # partials[d] at seed 0, where all five points are tried; then each of
-    # these pairs at both rational points
+    # these pairs at both rational points; then the tangents of both
+    # actions of each stress fan at seed 0
     verdicts = Counter()
     for c in _bound2_classifications():
         fam = c.family
@@ -659,8 +693,15 @@ def test_open_orbit_matches_eval_reference():
                 assert check_open_orbit(*pair, grading, point=pt) == want, \
                     (c.fan.rays, pt)
                 verdicts[pair is degenerate, want] += 1
+    for c in _stress_classifications():
+        for act in (c.normalized_action, c.non_normalized_action):
+            pair = verify._read_at_zero(act)[1]
+            want = _eval_orbit_reference(*pair, c.family.grading)
+            assert check_open_orbit(*pair, c.family.grading) == want, \
+                c.fan.rays
+            verdicts[False, want] += 1
     # every action has an open orbit, no degenerate pair has one
-    assert verdicts == {(False, True): 7 * (3325 + 1776),
+    assert verdicts == {(False, True): 7 * (3325 + 1776) + 6,
                         (True, False): 3 * 3325}
 
 
@@ -818,18 +859,19 @@ def _bound2_classifications():
 
 def _profile_cases():
     """(label, action, family): both actions of every bound-2 fan with
-    d >= 1 and of f:a, P(1,1,a) for a <= 12, ten torus-conjugated
-    non-normalized actions and the hand-built maps."""
+    d >= 1, of f:a, P(1,1,a) for a <= 12 and of the stress fans, ten
+    torus-conjugated non-normalized actions and the hand-built maps."""
     families = [c.family for c in _bound2_classifications() if c.d >= 1]
     for a in range(1, 13):
         for rays in (example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))):
             families.append(classify(build_fan(rays)).family)
-    for fam in families:
+    rng = random.Random(20)
+    conjugated = rng.sample(families, 10)
+    for fam in families + [c.family for c in _stress_classifications()]:
         normalized, non_normalized = emit_actions(fam)
         yield "normalized", normalized, fam
         yield "non_normalized", non_normalized, fam
-    rng = random.Random(20)
-    for fam in rng.sample(families, 10):
+    for fam in conjugated:
         t = [Fraction(rng.randint(1, 5), rng.randint(1, 5))
              * rng.choice([-1, 1]) for _ in fam.basis.rays]
         d1 = torus_conjugate(fam.delta, t) \
@@ -847,8 +889,8 @@ def test_annihilator_profile_matches_substitution_reference():
             (label, family.basis.rays)
         kinds[label, want.lines and classify_profile(want)] += 1
     assert kinds == {
-        ("normalized", ActionClass.NORMALIZED): 1800,
-        ("non_normalized", ActionClass.NON_NORMALIZED): 1800,
+        ("normalized", ActionClass.NORMALIZED): 1803,
+        ("non_normalized", ActionClass.NON_NORMALIZED): 1803,
         ("conjugated", ActionClass.NON_NORMALIZED): 10,
         ("mixed_denominator", ActionClass.NON_NORMALIZED): 1,
         ("unequal_denominators", ActionClass.NON_NORMALIZED): 1,
@@ -943,6 +985,19 @@ def test_classify_profile_inconclusive():
     with pytest.raises(Inconclusive):
         classify_profile(AnnihilatorReport(probes=(), lines=(),
                                            full_labels=()))
+
+
+def test_report_fails_an_inconclusive_profile(monkeypatch):
+    # a profile that does not separate the classes is a failed check
+    def inconclusive(report):
+        raise Inconclusive("planted")
+
+    monkeypatch.setattr(verify, "classify_profile", inconclusive)
+    rep = verification_report(classify(build_fan(example_fan("f1"))))
+    assert rep["checks"]["distinguish_actions"] is False
+    assert rep["all_pass"] is False
+    assert [k for k, ok in rep["checks"].items() if not ok] == \
+        ["distinguish_actions"]
 
 
 @pytest.mark.parametrize("name", ("p2", "f1", "p112"))
