@@ -124,16 +124,6 @@ def _load_fan(args) -> tuple[Fan2, str]:
     return build_fan(rays), name
 
 
-def _seed(args) -> int:
-    env = os.environ.get("TORIC_ADDITIVE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("TORIC_ADDITIVE_SEED must be an integer")
-    return args.seed
-
-
 def _emit(args, text: str) -> None:
     """Write to -o FILE or stdout; the only place the CLI writes output."""
     out = getattr(args, "output", None)
@@ -293,7 +283,7 @@ def cmd_actions(args) -> _Result:
 
 def cmd_verify(args) -> _Result:
     fan, name = _load_fan(args)
-    rep = verification_report(classify(fan), box=args.box, seed=_seed(args))
+    rep = verification_report(classify(fan), box=args.box, seed=args.seed)
     rep["name"] = name
     lines = [f"fan: {name}"]
     for check, ok in rep["checks"].items():
@@ -331,7 +321,7 @@ def cmd_sweep(args) -> _Result:
                        max_rays=args.max_rays, heavy=not args.light,
                        heavy_stride=args.heavy_stride,
                        nonadmitting_stride=args.nonadmitting_stride,
-                       seed=_seed(args), progress=_progress)
+                       seed=args.seed, progress=_progress)
     lines = [
         f"pool bound: {report.bound}, "
         f"rays {report.min_rays}..{report.max_rays}",
@@ -378,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write to FILE instead of stdout")
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification points; the "
-                             "TORIC_ADDITIVE_SEED environment variable takes "
-                             "precedence")
+                        help="seed for randomized verification points")
 
     p = sub.add_parser("validate", parents=[source, io],
                        help="check rays for a valid complete fan")

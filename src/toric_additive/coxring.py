@@ -3,10 +3,13 @@
 All arithmetic is exact over Q and nothing here touches floating point.
 A polynomial keeps integer numerators over one positive denominator, so
 its sums, products and substitutions run on ints; ``fractions.Fraction``
-appears only where single coefficients and values cross the API.  The
-central objects are the locally nilpotent derivations attached to Demazure
-roots and the polynomial automorphisms obtained by exponentiating
-commuting pairs of them.
+appears only where single coefficients and values cross the API.  Sums,
+differences, products, the exp series' sum, the flow of a pair of
+derivations and substitution's gather share one kernel, ``_combine``;
+``Derivation.apply`` keeps its own plan.  The central objects are the
+locally nilpotent derivations attached to Demazure roots and the
+polynomial automorphisms obtained by exponentiating commuting pairs of
+them.
 
 A polynomial ring for a fan with m rays carries generators
 x1, ..., xm, s1, s2, r1, r2: the x's are Cox coordinates, s1/s2 are the
@@ -160,18 +163,7 @@ class Poly:
             return self
         if not self.num:
             return other
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, den // other.den
-        num = (dict(self.num) if ka == 1
-               else {e: c * ka for e, c in self.num.items()})
-        get = num.get
-        for e, c in other.num.items():
-            acc = get(e, 0) + c * kb
-            if acc:
-                num[e] = acc
-            else:
-                del num[e]
-        return _reduced(self.ring, num, den)
+        return _combine(self.ring, ((1, None, self), (1, None, other)))
 
     def __neg__(self) -> "Poly":
         out = Poly.__new__(Poly)
@@ -180,7 +172,10 @@ class Poly:
         return out
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_ring(other)
+        if not other.num:
+            return self
+        return _combine(self.ring, ((1, None, self), (-1, None, other)))
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -193,15 +188,10 @@ class Poly:
         self._check_ring(other)
         if not self.num or not other.num:
             return Poly.zero(self.ring)
-        num: dict[tuple[int, ...], int] = {}
-        get = num.get
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = tuple(map(add, e1, e2))
-                acc = get(e)
-                num[e] = c1 * c2 if acc is None else acc + c1 * c2
-        return _reduced(self.ring, {e: c for e, c in num.items() if c},
-                        self.den * other.den)
+        # other's numerator shifted by each term of self's, over self.den
+        return _over(_combine(self.ring, [(c, e, other)
+                                          for e, c in self.num.items()]),
+                     self.den)
 
     __rmul__ = __mul__
 
@@ -271,6 +261,29 @@ def _reduced(ring: PolyRing, num: dict[tuple[int, ...], int],
     return out
 
 
+def _combine(ring: PolyRing,
+             parts: Sequence[tuple[int, tuple[int, ...] | None, Poly]]) -> Poly:
+    """The sum of c * x^shift * p over (c, shift, p) in ``parts``.
+
+    c is an int and shift None or an exponent tuple added to each exponent
+    of p.  Every numerator goes over the one lcm of the p.den into one int
+    dict; zeros are dropped and the sum reduced once.
+    """
+    den = lcm(*(p.den for _, _, p in parts))
+    num: dict[tuple[int, ...], int] = {}
+    get = num.get
+    for c, shift, p in parts:
+        c *= den // p.den
+        if shift is None:
+            for e, a in p.num.items():
+                num[e] = get(e, 0) + c * a
+        else:
+            for e, a in p.num.items():
+                e = tuple(map(add, e, shift))
+                num[e] = get(e, 0) + c * a
+    return _reduced(ring, {e: c for e, c in num.items() if c}, den)
+
+
 def substitute(polys: Sequence[Poly],
                mapping: Mapping[int, Poly]) -> tuple[Poly, ...]:
     """Simultaneous substitution of generators by polynomials, in each poly.
@@ -296,7 +309,8 @@ def substitute(polys: Sequence[Poly],
     for p in polys:
         # each term's image is its numerator times a product of powers,
         # with the exponents of the generators left in place
-        images = []
+        one = Poly.const(p.ring, 1)
+        parts = []
         for e, c in p.num.items():
             factor = None
             for i, table in powers.items():
@@ -304,22 +318,8 @@ def substitute(polys: Sequence[Poly],
                     factor = (table[e[i]] if factor is None
                               else factor * table[e[i]])
             rest = tuple(0 if i in mapping else k for i, k in enumerate(e))
-            images.append((c, rest, factor))
-        # every factor goes over the one lcm of their denominators, and
-        # every term's image into one dict; zeros are dropped once
-        den = lcm(*(f.den for _, _, f in images if f is not None))
-        num: dict[tuple[int, ...], int] = {}
-        get = num.get
-        for c, rest, factor in images:
-            if factor is None:
-                num[rest] = get(rest, 0) + c * den
-                continue
-            c *= den // factor.den
-            for f, k in factor.num.items():
-                f = tuple(map(add, f, rest))
-                num[f] = get(f, 0) + c * k
-        out.append(_reduced(p.ring, {e: c for e, c in num.items() if c},
-                            p.den * den))
+            parts.append((c, rest, one if factor is None else factor))
+        out.append(_over(_combine(p.ring, parts), p.den))
     return tuple(out)
 
 
@@ -591,18 +591,6 @@ def _over(t, k: int):
     return _reduced(t.ring, t.num, t.den * k)
 
 
-def _sum(ring: PolyRing, polys: Sequence[Poly]) -> Poly:
-    """sum(polys), each numerator brought to the one lcm of their dens."""
-    den = lcm(*(p.den for p in polys))
-    num: dict[tuple[int, ...], int] = {}
-    get = num.get
-    for p in polys:
-        k = den // p.den
-        for e, c in p.num.items():
-            num[e] = get(e, 0) + c * k
-    return _reduced(ring, {e: c for e, c in num.items() if c}, den)
-
-
 def _exp_series(x, op, what: Callable[[], str]):
     """x + op(x) + op(op(x))/2! + ..., summed up to the first zero term.
 
@@ -620,11 +608,11 @@ def _exp_series(x, op, what: Callable[[], str]):
         if cur.is_zero:
             ring = x.ring
             if isinstance(x, Poly):
-                return _sum(ring, terms)
+                return _combine(ring, [(1, None, t) for t in terms])
             char = x.char if all(t.char == x.char for t in terms) else None
-            return Derivation(ring, tuple(_sum(ring, col) for col in
-                                          zip(*(t.entries for t in terms))),
-                              char=char)
+            return Derivation(ring, tuple(
+                _combine(ring, [(1, None, p) for p in col])
+                for col in zip(*(t.entries for t in terms))), char=char)
         terms.append(cur)
     raise NotLocallyNilpotent(
         f"{what()} did not terminate within {_MAX_STEPS} steps")
@@ -662,34 +650,17 @@ class ActionMap:
 
 
 def _flow(d1: Derivation, d2: Derivation) -> Derivation:
-    """The derivation s1*d1 + s2*d2, each moved entry built in one dict.
-
-    With a = d1(x_i), b = d2(x_i) and L = lcm(a.den, b.den), entry i is
-    the int dict of a's terms times L // a.den with the s1 exponent raised
-    by one, and b's times L // b.den with the s2 exponent raised, over L,
-    reduced once.  An entry that neither d1 nor d2 moves stays zero.
+    """The derivation s1*d1 + s2*d2: entry i is d1(x_i) with the s1
+    exponent raised by one plus d2(x_i) with the s2 exponent raised, in one
+    ``_combine``.  An entry that neither d1 nor d2 moves stays zero.
     """
     ring = d1.ring
     j1, j2 = ring.index("s1"), ring.index("s2")
-    entries = []
-    for a, b in zip(d1.entries, d2.entries):
-        if not (a.num or b.num):
-            entries.append(a)
-            continue
-        den = lcm(a.den, b.den)
-        num: dict[tuple[int, ...], int] = {}
-        get = num.get
-        for p, j in ((a, j1), (b, j2)):
-            k = den // p.den
-            for e, c in p.num.items():
-                f = e[:j] + (e[j] + 1,) + e[j + 1:]
-                acc = get(f, 0) + c * k
-                if acc:
-                    num[f] = acc
-                else:  # only a term of b can cancel one of a
-                    del num[f]
-        entries.append(_reduced(ring, num, den))
-    return Derivation(ring, tuple(entries))
+    u1 = tuple(int(i == j1) for i in range(ring.nvars))
+    u2 = tuple(int(i == j2) for i in range(ring.nvars))
+    return Derivation(ring, tuple(
+        _combine(ring, ((1, u1, a), (1, u2, b))) if a.num or b.num else a
+        for a, b in zip(d1.entries, d2.entries)))
 
 
 def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:

@@ -138,30 +138,16 @@ def test_action_strings_parse_back(capsys):
         assert parse_poly(ring, rhs) == img
 
 
-def test_verify_json_and_seed_env(capsys, monkeypatch):
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+def test_verify_json_and_seed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--example", "p112",
                            "--format", "json", "--seed", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert doc["seed"] == 3
-    monkeypatch.setenv("TORIC_ADDITIVE_SEED", "7")
-    code, out, _ = run_cli(capsys, "verify", "--example", "p112",
-                           "--format", "json", "--seed", "3")
-    assert code == 0
-    assert json.loads(out)["seed"] == 7
 
 
-def test_verify_env_seed_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TORIC_ADDITIVE_SEED", "pi")
-    code, _, err = run_cli(capsys, "verify", "--example", "p2")
-    assert code == 1
-    assert "TORIC_ADDITIVE_SEED" in err
-
-
-def test_verify_text(capsys, monkeypatch):
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "--example", "p1xp1",
                            "--box", "6")
     assert code == 0
@@ -169,10 +155,9 @@ def test_verify_text(capsys, monkeypatch):
     assert "roots_box_oracle: PASS" in out
 
 
-def test_verify_widens_a_box_too_small_for_the_roots(capsys, monkeypatch):
+def test_verify_widens_a_box_too_small_for_the_roots(capsys):
     # a box that cuts off roots is widened to the largest |coordinate| of
     # any root, and "box" reads the half-width scanned; a wider box stays
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
     for argv, scanned in ((("--example", "p2", "--box", "0"), 1),
                           (("--example", "f:11"), 11),
                           (("--example", "f:11", "--box", "12"), 12)):
@@ -185,7 +170,6 @@ def test_verify_widens_a_box_too_small_for_the_roots(capsys, monkeypatch):
 
 def test_verify_other_failures_keep_exit_3(capsys, monkeypatch):
     # a failing oracle is a bug, not a usage problem
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
     monkeypatch.setattr("toric_additive.verify.check_group_law",
                         lambda action: False)
     code, out, err = run_cli(capsys, "verify", "--example", "f:11")
@@ -374,8 +358,7 @@ def test_demos_run(tmp_path):
     assert (tmp_path / "f.svg").read_text().lstrip().startswith("<svg")
 
 
-def test_sweep_small(capsys, monkeypatch):
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
+def test_sweep_small(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--bound", "1",
                            "--nonadmitting-stride", "1")
     assert code == 0
@@ -407,7 +390,6 @@ def test_sweep_progress_on_stderr(capsys, monkeypatch):
     # 3,325 admitting fans at bound 2; with stride 5, 665 are checked, so
     # the heavy phase reports at 200, 400 and 600.  Stdout is the report
     # alone, the same as a run without progress.
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
     checked = []
     monkeypatch.setattr("toric_additive.sweep.verification_report",
                         lambda c, box=10, seed=0: checked.append(c) or
@@ -517,7 +499,6 @@ STDOUT_CONTRACT = {
 
 @pytest.mark.parametrize("cmd", sorted(STDOUT_CONTRACT))
 def test_stdout_contract(cmd, capsys, monkeypatch):
-    monkeypatch.delenv("TORIC_ADDITIVE_SEED", raising=False)
     fans = [None] if cmd == "examples" else ["p2", "wide", "f:5", "-"]
     h = hashlib.sha256()
     for fan in fans:

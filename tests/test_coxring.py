@@ -415,6 +415,24 @@ def test_integer_kernel_matches_fraction_reference():
             else:
                 mapping[i], ref_mapping[i] = random_poly()
         _assert_kernel(a.subs(mapping), _ref_subs(ra, ref_mapping, R3.nvars))
+        # the sum kernel: int multipliers of either sign, shifts or none,
+        # and polys over different denominators
+        parts, ref = [], {}
+        for _ in range(rng.randint(0, 4)):
+            c = rng.randint(-5, 5)
+            shift = rng.choice([None, tuple(rng.randint(0, 2)
+                                            for _ in range(R3.nvars))])
+            q, rq = random_poly()
+            parts.append((c, shift, q))
+            ref = _ref_add(ref, _ref_mul({shift or (0,) * R3.nvars: c}, rq))
+        _assert_kernel(coxring._combine(R3, parts), ref)
+        # a list that cancels gives the canonical zero
+        shift = tuple(rng.randint(0, 2) for _ in range(R3.nvars))
+        zero = coxring._combine(R3, [(3, shift, a), (-1, shift, b),
+                                     (-2, shift, a), (1, shift, b),
+                                     (-1, shift, a)])
+        _assert_kernel(zero, {})
+        assert zero.den == 1 and zero.num == {}
         vals = [scalar() for _ in range(R3.nvars)]
         assert a.eval(vals) == _ref_eval(ra, vals)
         assert type(a.eval(vals)) is Fraction

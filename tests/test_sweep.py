@@ -1,8 +1,13 @@
 """The walk, the fan count and the admitting-fan generator of the sweep."""
 
 import hashlib
+import json
+import runpy
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -504,3 +509,29 @@ def test_heavy_sweep_records_classify_disagreements(monkeypatch):
     assert all(d["d_heavy"] == d["d_light"] + 1 for d in disagree)
     assert [d["rays"] for d in r.violations["nonadmitting_mismatch"]] == \
         seen[False]
+
+
+CHECK_SWEEP = Path(__file__).resolve().parents[1] / ".github" / "check_sweep.py"
+
+
+@pytest.mark.parametrize("wrong, named", (
+    ({"total_fans": 1}, "total_fans"),
+    ({"all_clean": False, "violation_counts": {"group_law": 1}},
+     "group_law"),
+    ({"heavy_checked": 0}, "heavy_checked"),
+), ids=("pin", "violation", "heavy"))
+def test_check_sweep_fails_under_python_O(tmp_path, wrong, named):
+    # the pinned bound-3 figures pass; a document that differs in one of
+    # them exits non-zero naming it, also when -O strips asserts
+    pins = runpy.run_path(str(CHECK_SWEEP))
+    good = dict(pins["PINS"][3], bound=3, all_clean=True, violation_counts={},
+                heavy_checked=pins["HEAVY"][3][0],
+                nonadmitting_sampled=pins["HEAVY"][3][1])
+    for doc, code in ((good, 0), (dict(good, **wrong), 1)):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        run = subprocess.run(
+            [sys.executable, "-O", str(CHECK_SWEEP), "--heavy", str(path)],
+            capture_output=True, text=True)
+        assert run.returncode == code, run
+        assert (named in run.stderr) == bool(code), run

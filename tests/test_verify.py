@@ -193,14 +193,12 @@ def _gl2_images(fans, count, bound, seed):
     return out
 
 
-def test_line_walk_matches_column_scan_reference():
-    # the walk from the first point in the box against the scan of every
-    # column: all fans with rays in [-2, 2]^2 at small boxes, then large
-    # images, each in the box that just holds its rays, and the stress fans
-    # at box 62.  A root does not depend on the box, so the scan's roots in
-    # a smaller box are those of box 10 that fit in it.
-    fans = list(enumerate_complete_fans(primitive_pool(2)))
-    assert len(fans) == 11396
+def _check_line_walk(fans, images):
+    """The walk from the first point in the box against the scan of every
+    column: ``fans`` (rays in [-2, 2]^2) at small boxes, then the large
+    ``images``, each in the box that just holds its rays, and the stress
+    fans at box 62.  A root does not depend on the box, so the scan's roots
+    in a smaller box are those of box 10 that fit in it."""
     found = 0
     for rays in fans:
         fan = build_fan(rays)
@@ -210,9 +208,9 @@ def test_line_walk_matches_column_scan_reference():
             assert got == {r for r in scanned
                            if max(map(abs, r.e)) <= box}, (rays, box)
             found += len(got)
-    assert found > 11396
+    assert found > len(fans)
     big = 0
-    for rays in _gl2_images(fans, 400, 10**4, 33):
+    for rays in images:
         box = max(abs(c) for r in rays for c in r)
         assert box <= 10**4
         big = max(big, box)
@@ -226,6 +224,15 @@ def test_line_walk_matches_column_scan_reference():
         assert got == _column_scan_roots(c.fan, 62), c.fan.rays
         found[c.fan.rays[-1]] = len(got)
     assert found == {(0, -1): 65, (-1, -62): 65, (-10**7 - 3, -10**7): 3}
+
+
+def test_line_walk_matches_column_scan_reference():
+    # every fan with rays in [-2, 2]^2 and the stress fans, but a seeded 60
+    # of the 400 large images; full_reference_ranges checks all 400
+    fans = list(enumerate_complete_fans(primitive_pool(2)))
+    assert len(fans) == 11396
+    images = _gl2_images(fans, 400, 10**4, 33)
+    _check_line_walk(fans, random.Random(35).sample(images, 60))
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -666,14 +673,15 @@ def _orbit_points(m):
             for pat in _RATIONAL_POINTS]
 
 
-def test_open_orbit_matches_eval_reference():
-    # the tangents of both actions of every admitting fan with rays in
-    # [-2, 2]^2 at seeds 0 to 4, and the degenerate pair partials[0],
-    # partials[d] at seed 0, where all five points are tried; then each of
-    # these pairs at both rational points; then the tangents of both
-    # actions of each stress fan at seed 0
+def _open_orbit_verdicts(classes):
+    """check_open_orbit against the eval reference: the tangents of both
+    actions of each of ``classes`` at seeds 0 to 4, and the degenerate pair
+    partials[0], partials[d] at seed 0, where all five points are tried;
+    then each of these pairs at both rational points; then the tangents of
+    both actions of each stress fan at seed 0.  Returns the count of
+    (degenerate, verdict)."""
     verdicts = Counter()
-    for c in _bound2_classifications():
+    for c in classes:
         fam = c.family
         grading = fam.grading
         pairs = [verify._read_at_zero(act)[1]
@@ -700,9 +708,18 @@ def test_open_orbit_matches_eval_reference():
             assert check_open_orbit(*pair, c.family.grading) == want, \
                 c.fan.rays
             verdicts[False, want] += 1
-    # every action has an open orbit, no degenerate pair has one
-    assert verdicts == {(False, True): 7 * (3325 + 1776) + 6,
-                        (True, False): 3 * 3325}
+    return verdicts
+
+
+def test_open_orbit_matches_eval_reference():
+    # a seeded 500 of the 3,325 admitting fans with rays in [-2, 2]^2, and
+    # the stress fans; full_reference_ranges checks all 3,325.  Every
+    # action has an open orbit, no degenerate pair has one.
+    classes = random.Random(35).sample(_bound2_classifications(), 500)
+    actions = sum(act is not None for c in classes
+                  for act in (c.normalized_action, c.non_normalized_action))
+    assert _open_orbit_verdicts(classes) == {(False, True): 7 * actions + 6,
+                                             (True, False): 3 * 500}
 
 
 def test_open_orbit_rows_match_eval_reference():
@@ -1073,3 +1090,18 @@ def test_verification_report_non_admitting():
     assert rep["num_classes"] == 0
     assert "bracket_table" not in rep["checks"]
     assert rep["checks"]["classes_match_wideness"] is True
+
+
+def full_reference_ranges():
+    """The full ranges that test_line_walk_matches_column_scan_reference and
+    test_open_orbit_matches_eval_reference sample: all 400 large images
+    against the column scan, and all 3,325 admitting fans with rays in
+    [-2, 2]^2 against the eval reference.  Not collected by pytest; run
+
+        PYTHONPATH=src:tests python -c \
+            "import test_verify; test_verify.full_reference_ranges()"
+    """
+    fans = list(enumerate_complete_fans(primitive_pool(2)))
+    _check_line_walk(fans, _gl2_images(fans, 400, 10**4, 33))
+    assert _open_orbit_verdicts(_bound2_classifications()) == {
+        (False, True): 7 * (3325 + 1776) + 6, (True, False): 3 * 3325}
