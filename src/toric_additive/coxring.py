@@ -9,7 +9,9 @@ derivations and substitution's gather share one kernel, ``_combine``;
 ``Derivation.apply`` keeps its own plan.  The central objects are the
 locally nilpotent derivations attached to Demazure roots and the
 polynomial automorphisms obtained by exponentiating commuting pairs of
-them.
+them: ``exp_action`` sums the exp series of any such pair, while
+``emit_actions`` writes the two action classes of an LND family in
+closed form.
 
 A polynomial ring for a fan with m rays carries generators
 x1, ..., xm, s1, s2, r1, r2: the x's are Cox coordinates, s1/s2 are the
@@ -73,6 +75,11 @@ def _generator(ring: PolyRing, i: int) -> int:
         raise VariableMismatch(
             f"no generator with index {i} in a ring of {ring.nvars}")
     return i
+
+
+def _unit(ring: PolyRing, i: int) -> tuple[int, ...]:
+    """The exponent tuple of the generator x_i."""
+    return tuple(int(k == i) for k in range(ring.nvars))
 
 
 def action_ring(m: int) -> PolyRing:
@@ -655,9 +662,7 @@ def _flow(d1: Derivation, d2: Derivation) -> Derivation:
     ``_combine``.  An entry that neither d1 nor d2 moves stays zero.
     """
     ring = d1.ring
-    j1, j2 = ring.index("s1"), ring.index("s2")
-    u1 = tuple(int(i == j1) for i in range(ring.nvars))
-    u2 = tuple(int(i == j2) for i in range(ring.nvars))
+    u1, u2 = _unit(ring, ring.index("s1")), _unit(ring, ring.index("s2"))
     return Derivation(ring, tuple(
         _combine(ring, ((1, u1, a), (1, u2, b))) if a.num or b.num else a
         for a, b in zip(d1.entries, d2.entries)))
@@ -877,19 +882,114 @@ def build_lnd_family(basis, d: int) -> LndFamily:
                      delta=delta, partials=partials, d=d)
 
 
+def _lone_monomial(D: Derivation, name: str, i: int,
+                   want: Mapping[int, int]) -> tuple[tuple[int, ...], int, int]:
+    """(exponents, numerator, den) of D(x_i), once D is seen to move only
+    x_i, by one monomial whose exponents at the indices of ``want`` are
+    the values there; NotApplicable naming the first failure otherwise."""
+    names = D.ring.names
+    for k, p in enumerate(D.entries):
+        if p.num and k != i:
+            raise NotApplicable(
+                f"emit_actions: {name} moves {names[k]}, not only {names[i]}")
+    p = D.entries[i]
+    if len(p.num) != 1:
+        raise NotApplicable(
+            f"emit_actions: {name}({names[i]}) has {len(p.num)} terms, "
+            f"not one monomial")
+    ((e, c),) = p.num.items()
+    for k, v in want.items():
+        if e[k] != v:
+            raise NotApplicable(
+                f"emit_actions: {name}({names[i]}) has {names[k]} exponent "
+                f"{e[k]}, not {v}")
+    return e, c, p.den
+
+
+def _plus_monomial(ring: PolyRing, i: int, j: int,
+                   mono: tuple[tuple[int, ...], int, int]) -> Poly:
+    """x_i + x_j * c/den x^e for mono = (e, c, den), with x_i outside
+    x_j * x^e: two int numerators over den."""
+    e, c, den = mono
+    e = e[:j] + (e[j] + 1,) + e[j + 1:]
+    return _reduced(ring, {_unit(ring, i): den, e: c}, den)
+
+
 def emit_actions(family: LndFamily) -> tuple[ActionMap, ActionMap | None]:
     """Canonical representatives of the isomorphism classes of actions.
 
     The normalized class is exp(s1*delta + s2*partials[0]).  For d >= 1 the
     second, non-normalized class is exp(s1*(delta + partials[d]) + s2*partials[0]);
     for d = 0 there is no second class and None is returned.
+
+    Both maps are written in closed form.  With i1, i2 the basis indices,
+    M = delta(x_i1), N_0 = partials[0](x_i2) and partials[d](x_i2) =
+    x_i1^d * N'_d, where M, N_0 and N'_d are monomials free of x_i1 and
+    x_i2:
+
+        normalized:      x_i1 -> x_i1 + s1*M,  x_i2 -> x_i2 + s2*N_0;
+        non-normalized:  x_i1 -> x_i1 + s1*M,  x_i2 -> x_i2 + s2*N_0
+                         + N'_d * sum_{j=0..d} C(d+1, j+1)/(d+1)
+                                  * x_i1^(d-j) * M^j * s1^(j+1);
+
+    every other coordinate is fixed.  Proof: the flow D of either pair
+    moves only x_i1 and x_i2, and kills M, N_0, N'_d and the parameters,
+    none of which holds x_i1 or x_i2.  So D(x_i1) = s1*M is a constant of
+    D, and exp(D)(x_i1) = x_i1 + s1*M.  For n >= 2, D^n(x_i2) =
+    s1*N'_d*D^(n-1)(x_i1^d) = s1*N'_d * d!/(d-n+1)! * x_i1^(d-n+1) * (s1*M)^(n-1),
+    and D(x_i2) = s2*N_0 + s1*N'_d*x_i1^d; dividing by n! with j = n - 1
+    gives d!/((j+1)! (d-j)!) = C(d+1, j+1)/(d+1).  The normalized pair
+    has no x_i1 term in D(x_i2), so its series stops after one step.  The
+    same shape makes each pair commute: M holds no x_i2 and N_0, N'_d hold
+    neither basis coordinate.
+
+    Before the formulas are used, delta is checked to move only x_i1, and
+    partials[0] and partials[d] only x_i2, each by one monomial with the
+    stated x_i1 and x_i2 exponents; any other family raises
+    NotApplicable naming what failed.  ``exp_action`` stays the general
+    exponential, which gives the same maps (the tests compare them).
     """
-    normalized = exp_action(family.delta, family.partials[0])
-    if family.d == 0:
+    ring, d = family.ring, family.d
+    i1, i2 = family.basis.basis_indices
+    s1, s2 = ring.index("s1"), ring.index("s2")
+    mono_m = _lone_monomial(family.delta, "delta", i1, {i1: 0, i2: 0})
+    mono_0 = _lone_monomial(family.partials[0], "partials[0]", i2,
+                            {i1: 0, i2: 0})
+    images = [Poly.var(ring, i) for i in range(s1)]
+    images[i1] = _plus_monomial(ring, i1, s1, mono_m)
+    images[i2] = _plus_monomial(ring, i2, s2, mono_0)
+    normalized = ActionMap(ring=ring, images=tuple(images))
+    if d == 0:
         return normalized, None
-    non_normalized = exp_action(family.delta + family.partials[family.d],
-                                family.partials[0])
-    return normalized, non_normalized
+    e_n, c_n, den_n = _lone_monomial(family.partials[d], f"partials[{d}]",
+                                     i2, {i1: d, i2: 0})
+    e_m, c_m, den_m = mono_m
+    e_0, c_0, den_0 = mono_0
+    # every numerator over den = (d+1) * den_n * den_m^d * den_0
+    scale = (d + 1) * den_n * den_m ** d
+    den = scale * den_0
+    e = list(e_0)
+    e[s2] += 1
+    num = {_unit(ring, i2): den, tuple(e): c_0 * scale}
+    get = num.get
+    # term j: C(d+1, j+1) * c_n * c_m^j * den_m^(d-j) * den_0 at the
+    # exponents of N'_d * x_i1^(d-j) * M^j * s1^(j+1)
+    m_moves = [(k, v) for k, v in enumerate(e_m) if v]
+    e = list(e_n)
+    e[s1] += 1
+    c = c_n * den_0
+    binom = d + 1
+    for j in range(d + 1):
+        t = tuple(e)
+        num[t] = get(t, 0) + binom * c * den_m ** (d - j)
+        binom = binom * (d - j) // (j + 2)
+        c *= c_m
+        e[i1] -= 1
+        e[s1] += 1
+        for k, v in m_moves:
+            e[k] += v
+    images[i2] = _reduced(ring, {t: v for t, v in num.items() if v}, den)
+    return normalized, ActionMap(ring=ring, images=tuple(images))
 
 
 @dataclass(frozen=True)

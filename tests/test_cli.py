@@ -168,6 +168,27 @@ def test_verify_widens_a_box_too_small_for_the_roots(capsys):
         assert doc["checks"]["roots_box_oracle"]
 
 
+@pytest.mark.parametrize("argv,a", [
+    (("--example", "f:63"), 63),
+    (("--example", "f:100"), 100),
+    (("--input", "-"), 63),
+])
+def test_actions_and_verify_past_the_series_cap(argv, a, capsys,
+                                                monkeypatch):
+    # d = a >= 63: emit_actions writes both maps in closed form, so no
+    # exp series and no step cap stands between the fan and its answer
+    for cmd in ("actions", "verify"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1 0\n0 1\n-1 -{a}\n"))
+        code, out, err = run_cli(capsys, cmd, *argv)
+        assert code == 0 and not err, (cmd, argv)
+        if cmd == "actions":
+            assert "isomorphism classes: 2" in out
+            # the top term of x2's non-normalized image, C(a+1, a+1)/(a+1)
+            assert f"1/{a + 1}*x3^{a}*" in out
+        else:
+            assert out.endswith("all checks passed\n")
+
+
 def test_verify_other_failures_keep_exit_3(capsys, monkeypatch):
     # a failing oracle is a bug, not a usage problem
     monkeypatch.setattr("toric_additive.verify.check_group_law",

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -74,9 +75,10 @@ from toric_additive.verify import (
 
 CATALOG = ("p2", "p1xp1", "f1", "p112", "p113", "wide")
 
-# f:62 and P(1,1,62), with d = 62, the largest d whose actions fit in the
-# 64-step cap, and (1, 0), (0, 1), (-N-3, -N) with N = 10**7, whose
-# actions carry exponents of size N
+# f:62 and P(1,1,62), with d = 62, the largest d whose exp_action series
+# (the reference for the emitted actions) fit in the 64-step cap, and
+# (1, 0), (0, 1), (-N-3, -N) with N = 10**7, whose actions carry
+# exponents of size N
 STRESS_RAYS = (example_fan("f:62"), ((1, 0), (0, 1), (-1, -62)),
                ((1, 0), (0, 1), (-10**7 - 3, -10**7)))
 
@@ -1048,6 +1050,81 @@ def test_distinguisher_invariant_under_torus_conjugation():
         assert classify_profile(rep) is ActionClass.NON_NORMALIZED
 
 
+def _check_emission(families):
+    """Assert that emit_actions writes the maps exp_action sums as series,
+    for each family; return the number of maps compared."""
+    compared = 0
+    for fam in families:
+        pairs = [(fam.delta, fam.partials[0])]
+        if fam.d:
+            pairs.append((fam.delta + fam.partials[fam.d], fam.partials[0]))
+        emitted = [act for act in emit_actions(fam) if act is not None]
+        assert len(emitted) == len(pairs), fam.basis.rays
+        for act, pair in zip(emitted, pairs):
+            assert act.images == exp_action(*pair).images, fam.basis.rays
+            compared += 1
+    return compared
+
+
+def test_emit_actions_matches_exp_action():
+    # the catalog, every f:a and P(1,1,a) for a = 1..62 (the largest d
+    # whose series fit in exp_action's step cap), a seeded 500 of the
+    # 3,325 admitting fans with rays in [-2, 2]^2 and 40 of these families
+    # with delta, partials[0] and partials[d] scaled by fractions;
+    # full_reference_ranges compares all 3,325
+    rays = [example_fan(name) for name in CATALOG]
+    for a in range(1, 63):
+        rays += [example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))]
+    families = [classify(build_fan(r)).family for r in rays]
+    rng = random.Random(36)
+    families += [c.family for c in
+                 rng.sample(_bound2_classifications(), 500)]
+    # the monomials may carry any nonzero rational coefficient
+    for fam in rng.sample(families, 40):
+        a, b, c = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                            rng.randint(1, 9)) for _ in range(3))
+        parts = list(fam.partials)
+        parts[0] = parts[0].scale(b)
+        if fam.d:
+            parts[fam.d] = parts[fam.d].scale(c)
+        families.append(replace(fam, delta=fam.delta.scale(a),
+                                partials=tuple(parts)))
+    assert _check_emission(families) == sum(1 + (f.d >= 1)
+                                            for f in families)
+
+
+def test_emit_actions_rejects_other_shapes():
+    # the closed form needs delta to move only x_i1 and partials[0],
+    # partials[d] only x_i2, each by one monomial with the stated x_i1
+    # and x_i2 exponents; the error names the first failure
+    fam = classify(build_fan(example_fan("f:3"))).family
+    assert fam.basis.basis_indices == (0, 1)
+    ring, parts = fam.ring, fam.partials
+    cases = [
+        (replace(fam, delta=fam.delta + parts[0]),
+         "delta moves x2, not only x1"),
+        (replace(fam, delta=derivation(ring, {0: Poly.var(ring, 1)})),
+         "delta(x1) has x2 exponent 1, not 0"),
+        (replace(fam, partials=(parts[0] + parts[3],) + parts[1:]),
+         "partials[0](x2) has 2 terms, not one monomial"),
+        (replace(fam, partials=(derivation(ring, {1: Poly.var(ring, 0)}),)
+         + parts[1:]),
+         "partials[0](x2) has x1 exponent 1, not 0"),
+        (replace(fam, partials=parts[:3] + (parts[2],)),
+         "partials[3](x2) has x1 exponent 2, not 3"),
+        (replace(fam, partials=parts[:3] + (parts[3] + fam.delta,)),
+         "partials[3] moves x1, not only x2"),
+    ]
+    for bad, why in cases:
+        with pytest.raises(NotApplicable, match=re.escape(
+                "emit_actions: " + why)):
+            emit_actions(bad)
+    # the same at d = 1, where partials[d] is the only other partial
+    fam = classify(build_fan(example_fan("p2"))).family
+    with pytest.raises(NotApplicable, match="delta moves x2, not only x1"):
+        emit_actions(replace(fam, delta=fam.delta + fam.partials[0]))
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_verification_report_catalog(name):
     c = classify(build_fan(example_fan(name)))
@@ -1093,10 +1170,12 @@ def test_verification_report_non_admitting():
 
 
 def full_reference_ranges():
-    """The full ranges that test_line_walk_matches_column_scan_reference and
-    test_open_orbit_matches_eval_reference sample: all 400 large images
+    """The full ranges that test_line_walk_matches_column_scan_reference,
+    test_open_orbit_matches_eval_reference and
+    test_emit_actions_matches_exp_action sample: all 400 large images
     against the column scan, and all 3,325 admitting fans with rays in
-    [-2, 2]^2 against the eval reference.  Not collected by pytest; run
+    [-2, 2]^2 against the eval reference and exp_action.  Not collected by
+    pytest; run
 
         PYTHONPATH=src:tests python -c \
             "import test_verify; test_verify.full_reference_ranges()"
@@ -1105,3 +1184,5 @@ def full_reference_ranges():
     _check_line_walk(fans, _gl2_images(fans, 400, 10**4, 33))
     assert _open_orbit_verdicts(_bound2_classifications()) == {
         (False, True): 7 * (3325 + 1776) + 6, (True, False): 3 * 3325}
+    assert _check_emission(c.family for c in _bound2_classifications()) \
+        == 3325 + 1776
