@@ -4,13 +4,13 @@ All arithmetic is exact over Q and nothing here touches floating point.
 A polynomial keeps integer numerators over one positive denominator, so
 its sums, products and substitutions run on ints; ``fractions.Fraction``
 appears only where single coefficients and values cross the API.  Sums,
-differences, products, the exp series' sum, the flow of a pair of
-derivations and substitution's gather share one kernel, ``_combine``;
-``Derivation.apply`` keeps its own plan.  The central objects are the
-locally nilpotent derivations attached to Demazure roots and the
-polynomial automorphisms obtained by exponentiating commuting pairs of
-them: ``exp_action`` sums the exp series of any such pair, while
-``emit_actions`` writes the two action classes of an LND family in
+differences, products and substitution's gather share one kernel,
+``_combine``; ``Derivation.apply`` keeps its own plan.  The central
+objects are the locally nilpotent derivations attached to Demazure roots
+and the polynomial automorphisms obtained by exponentiating commuting
+pairs of them: ``exp_action`` builds the flow s1*d1 + s2*d2 of any such
+pair by ``Poly`` arithmetic and sums one exp series per coordinate,
+while ``emit_actions`` writes the two action classes of an LND family in
 closed form.
 
 A polynomial ring for a fan with m rays carries generators
@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
+    IndexOutOfRange,
     InternalInconsistency,
     LengthMismatch,
     NegativeExponent,
@@ -223,6 +224,7 @@ class Poly:
     __hash__ = None  # type: ignore[assignment]
 
     def diff(self, i: int) -> "Poly":
+        i = _generator(self.ring, i)
         num: dict[tuple[int, ...], int] = {}
         for e, c in self.num.items():
             if e[i]:
@@ -395,20 +397,15 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        negate = False
-        if self.peek_op("-"):
+        # the signed terms are summed once, so n terms cost O(n)
+        op = self.peek_op("+", "-")
+        if op is not None:
             self.take()
-            negate = True
-        elif self.peek_op("+"):
-            self.take()
-        acc = self.term()
-        if negate:
-            acc = -acc
+        parts = [(-1 if op == "-" else 1, None, self.term())]
         while (op := self.peek_op("+", "-")) is not None:
             self.take()
-            t = self.term()
-            acc = acc + (-t if op == "-" else t)
-        return acc
+            parts.append((-1 if op == "-" else 1, None, self.term()))
+        return _combine(self.ring, parts)
 
     def term(self) -> Poly:
         acc = self.factor()
@@ -458,7 +455,11 @@ class _Parser:
 def parse_poly(ring: PolyRing, text: str) -> Poly:
     """Inverse of poly_str for the formats this package emits."""
     parser = _Parser(ring, text)
-    p = parser.expr()
+    try:
+        p = parser.expr()
+    except RecursionError:  # one descent level per parenthesis or sign
+        raise VariableMismatch("parentheses or signs nested too deeply in "
+                               "polynomial text") from None
     if parser.pos != len(parser.toks):
         raise VariableMismatch("trailing tokens in polynomial text")
     return p
@@ -598,37 +599,31 @@ def _over(t, k: int):
     return _reduced(t.ring, t.num, t.den * k)
 
 
-def _exp_series(x, op, what: Callable[[], str]):
-    """x + op(x) + op(op(x))/2! + ..., summed up to the first zero term.
+def _exp_series(x, op, what: str):
+    """x + op(x) + op(op(x))/2! + ..., a running sum up to the first zero term.
 
-    ``op`` maps a Poly or Derivation to one of the same kind.  The loop
-    only collects the terms; at the first zero one they are summed once,
-    over one common denominator (entry by entry for a Derivation, which
-    keeps x's ``char`` when every term carries it).  A series with no zero
-    term within _MAX_STEPS raises NotLocallyNilpotent, whose message
-    starts with ``what()``.
+    ``op`` maps a Poly or Derivation to one of the same kind; a Derivation
+    sum keeps x's ``char`` when every term carries it.  A series with no
+    zero term within _MAX_STEPS raises NotLocallyNilpotent, whose message
+    starts with ``what``.
     """
-    terms = [x]
-    cur = x
+    acc = cur = x
     for step in range(1, _MAX_STEPS + 1):
         cur = _over(op(cur), step)
         if cur.is_zero:
-            ring = x.ring
-            if isinstance(x, Poly):
-                return _combine(ring, [(1, None, t) for t in terms])
-            char = x.char if all(t.char == x.char for t in terms) else None
-            return Derivation(ring, tuple(
-                _combine(ring, [(1, None, p) for p in col])
-                for col in zip(*(t.entries for t in terms))), char=char)
-        terms.append(cur)
+            return acc
+        acc = acc + cur
     raise NotLocallyNilpotent(
-        f"{what()} did not terminate within {_MAX_STEPS} steps")
+        f"{what} did not terminate within {_MAX_STEPS} steps")
 
 
 def exp_ad(z: Derivation, d: Derivation) -> Derivation:
     """exp(ad z) applied to d: d + [z,d] + [z,[z,d]]/2 + ..."""
+    moved = [n for n, p in zip(z.ring.names, z.entries) if p.num]
+    size = sum(len(p.num) for p in z.entries)
     return _exp_series(d, lambda t: commutator(z, t),
-                       lambda: f"iterated bracket with {derivation_str(z)}")
+                       f"iterated bracket with a derivation moving "
+                       f"{', '.join(moved)} ({size} term{'s' * (size != 1)})")
 
 
 @dataclass(frozen=True)
@@ -656,28 +651,15 @@ class ActionMap:
         return substitute(self.images, sub)
 
 
-def _flow(d1: Derivation, d2: Derivation) -> Derivation:
-    """The derivation s1*d1 + s2*d2: entry i is d1(x_i) with the s1
-    exponent raised by one plus d2(x_i) with the s2 exponent raised, in one
-    ``_combine``.  An entry that neither d1 nor d2 moves stays zero.
-    """
-    ring = d1.ring
-    u1, u2 = _unit(ring, ring.index("s1")), _unit(ring, ring.index("s2"))
-    return Derivation(ring, tuple(
-        _combine(ring, ((1, u1, a), (1, u2, b))) if a.num or b.num else a
-        for a, b in zip(d1.entries, d2.entries)))
-
-
 def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     """Exponentiate the pair s1*d1 + s2*d2 into a polynomial action map.
 
     The pair must commute; each coordinate must be annihilated by enough
     iterations of the derivation, otherwise the pair is not locally
-    nilpotent and no polynomial action exists.  Each moved coordinate's
-    image is one exp series of the flow s1*d1 + s2*d2 (see ``_flow``),
-    which applies the flow's plan at every step and sums its terms once; a
-    coordinate that neither d1 nor d2 moves is fixed: its flow entry is
-    zero and its image is x_i with no series.
+    nilpotent and no polynomial action exists.  The flow s1*d1 + s2*d2 is
+    built by ``Poly`` arithmetic, and each coordinate's image is one exp
+    series of it: a coordinate that neither d1 nor d2 moves has a zero
+    first term, so its image is x_i.
     """
     if d1.ring != d2.ring:
         raise VariableMismatch("derivations live in different rings")
@@ -685,12 +667,12 @@ def exp_action(d1: Derivation, d2: Derivation) -> ActionMap:
     if not commutator(d1, d2).is_zero:
         raise NotCommuting(
             "exp(s1*D1 + s2*D2) is a group action only for commuting pairs")
-    flow = _flow(d1, d2)
-    images = tuple(
-        _exp_series(Poly.var(ring, i), flow.apply,
-                    lambda: f"flow of {ring.names[i]}")
-        if flow.entries[i].num else Poly.var(ring, i)
-        for i in range(ring.index("s1")))
+    s1, s2 = Poly.var(ring, ring.index("s1")), Poly.var(ring, ring.index("s2"))
+    flow = Derivation(ring, tuple(a * s1 + b * s2
+                                  for a, b in zip(d1.entries, d2.entries)))
+    images = tuple(_exp_series(Poly.var(ring, i), flow.apply,
+                               f"flow of {ring.names[i]}")
+                   for i in range(ring.index("s1")))
     return ActionMap(ring=ring, images=images)
 
 
@@ -772,6 +754,9 @@ def degree_of(grading: ClGrading, p: Poly) -> tuple[int, ...] | None:
 def lnd_from_root(ring: PolyRing, rays: Sequence[LatticeVec], e: CharVec,
                   ray_index: int) -> Derivation:
     """Locally nilpotent derivation prod_j x_j^<p_j,e> d/dx_i of a root e."""
+    if not 0 <= ray_index < len(rays):
+        raise IndexOutOfRange(
+            f"ray index {ray_index} out of range for {len(rays)} rays")
     return _root_lnd(ring, [pairing(p, e) for p in rays], e, ray_index)
 
 

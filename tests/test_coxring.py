@@ -12,7 +12,7 @@ from toric_additive.additive import (
     classify_rays,
     find_admissible_basis,
 )
-from toric_additive.catalog import BUILTIN, example_fan
+from toric_additive.catalog import example_fan
 from toric_additive.coxring import (
     ActionMap,
     Derivation,
@@ -39,6 +39,7 @@ from toric_additive.coxring import (
     torus_conjugate,
 )
 from toric_additive.errors import (
+    IndexOutOfRange,
     LengthMismatch,
     NegativeExponent,
     NotApplicable,
@@ -91,8 +92,11 @@ def test_generator_index_out_of_range():
         with pytest.raises(VariableMismatch, match=f"index {i} "):
             Poly.var(ring, i)
         with pytest.raises(VariableMismatch, match=f"index {i} "):
+            _p("r2*x1").diff(i)
+        with pytest.raises(VariableMismatch, match=f"index {i} "):
             derivation(ring, {i: Poly.var(ring, 0)})
     assert Poly.var(ring, 6) == _p("r2")
+    assert _p("r2^2*x1").diff(6) == _p("2*r2*x1")
     assert derivation(ring, {6: _p("x1")}).entries[6] == _p("x1")
 
 
@@ -480,6 +484,13 @@ def test_parse_rejects_garbage():
         _p("y1 + 1")
     with pytest.raises(VariableMismatch):
         _p("1/0")
+    # deep nesting is refused as text, not by a RecursionError
+    for deep in ("(" * 400 + "x1" + ")" * 400, "-" * 3000 + "x1"):
+        with pytest.raises(VariableMismatch, match="nested too deeply"):
+            _p(deep)
+    assert _p("(" * 50 + "x1" + ")" * 50) == _p("-" * 100 + "x1") == _p("x1")
+    # long flat input still parses
+    assert _p(" + ".join(["x1"] * 20001)) == _p("20001*x1")
 
 
 def test_derivation_leibniz():
@@ -583,6 +594,22 @@ def test_exp_ad_translation():
     assert exp_ad(z, z) == z
 
 
+def test_exp_ad_on_family_keeps_char_only_when_every_term_has_it():
+    # ad delta acts as d/dt on partials[k] = t^k, so exp(ad delta) takes
+    # t^d to (t + 1)^d; the partials commute, so exp(ad partials[0]) fixes
+    # partials[d], character and all
+    for name in ("p2", "f:3", "f:32"):
+        fam = classify_rays(example_fan(name)).family
+        d, top = fam.d, fam.partials[fam.d]
+        kept = exp_ad(fam.partials[0], top)
+        assert kept == top and kept.char == top.char is not None
+        moved = exp_ad(fam.delta, top)
+        want = fam.partials[0]
+        for k in range(1, d + 1):
+            want = want + fam.partials[k].scale(comb(d, k))
+        assert moved == want and moved.char is None
+
+
 def test_exp_action_p2_golden():
     fan_rays = example_fan("p2")
     basis = find_admissible_basis(fan_rays)
@@ -645,95 +672,15 @@ def test_exp_action_rejects_non_nilpotent():
             "flow of x1 did not terminate within 64 steps")):
         exp_action(z, derivation(R3, {}))
     with pytest.raises(NotLocallyNilpotent, match=re.escape(
-            "iterated bracket with (x2) d/dx1 + (x1) d/dx2 did not "
-            "terminate within 64 steps")):
+            "iterated bracket with a derivation moving x1, x2 (2 terms) did "
+            "not terminate within 64 steps")):
         exp_ad(z, derivation(R3, {0: _p("1")}))
-
-
-def _ref_exp_series(x, op):
-    """Reference: x + op(x) + op(op(x))/2! + ..., as a running sum."""
-    acc = cur = x
-    for step in range(1, coxring._MAX_STEPS + 1):
-        cur = coxring._over(op(cur), step)
-        if cur.is_zero:
-            return acc
-        acc = acc + cur
-    raise AssertionError("the reference series did not terminate")
-
-
-def _ref_flow(d1, d2):
-    """Reference: the flow a*s1 + b*s2 by Poly products and sums."""
-    ring = d1.ring
-    s1 = Poly.var(ring, ring.index("s1"))
-    s2 = Poly.var(ring, ring.index("s2"))
-    return Derivation(ring, tuple(a * s1 + b * s2
-                                  for a, b in zip(d1.entries, d2.entries)))
-
-
-def _ref_exp_action_images(d1, d2):
-    """Reference: one running-sum series per coordinate, fixed ones too."""
-    ring = d1.ring
-    flow = _ref_flow(d1, d2)
-    return tuple(_ref_exp_series(Poly.var(ring, i), flow.apply)
-                 for i in range(ring.index("s1")))
-
-
-def test_exp_series_matches_running_sum_reference():
-    # both actions of the catalog and of every f:a and P(1,1,a) up to 32,
-    # and exp(ad delta) on the top partial, whose series has d + 1 terms
-    fans = list(BUILTIN.values())
-    for a in range(1, 33):
-        fans += [example_fan(f"f:{a}"), ((1, 0), (0, 1), (-1, -a))]
-    fixed = 0
-    for rays in fans:
-        c = classify(build_fan(rays))
-        fam = c.family
-        pairs = [(fam.delta, fam.partials[0])]
-        if fam.d:
-            pairs.append((fam.delta + fam.partials[fam.d], fam.partials[0]))
-        for (d1, d2), act in zip(pairs, (c.normalized_action,
-                                         c.non_normalized_action)):
-            assert coxring._flow(d1, d2) == _ref_flow(d1, d2)
-            want = ActionMap(ring=act.ring,
-                             images=_ref_exp_action_images(d1, d2))
-            assert act.images == want.images
-            assert act.image_strings() == want.image_strings()
-            fixed += sum(not (p.num or q.num)
-                         for p, q in zip(d1.entries, d2.entries))
-        top = fam.partials[fam.d]
-        for z, t in ((fam.delta, top), (fam.delta, fam.delta + top),
-                     (fam.partials[0], top)):
-            got = exp_ad(z, t)
-            ref = _ref_exp_series(t, lambda u: commutator(z, u))
-            assert got == ref and got.char == ref.char
-    assert fixed > len(fans)
-    # normal_form re-verifies its answer by exp(ad Z) at d = 3 and d = 62
-    family = classify_rays(example_fan("f:3")).family
-    assert normal_form((1, 2, 0, 5), family).eta == (2, 1, 5)
-    rng = random.Random(62)
-    family = classify_rays(example_fan("f:62")).family
-    normal_form([rng.randint(-9, 9) for _ in range(62)] + [1], family)
-
-
-def test_flow_matches_product_reference():
-    # entries over different denominators, entries that already hold s1
-    # or s2, a term of d2 that cancels one of d1, and fixed coordinates
-    cases = [
-        ({0: "1/2*x2*x3", 1: "x3^2 - 1/3"}, {1: "2/9*x3", 2: "x1*x2"}),
-        ({0: "x2*s2"}, {0: "-x2*s1 + 3/4*x3"}),
-        ({1: "s1^2 + 1/6*x1*s2"}, {1: "-1/6*x1*s1"}),
-        ({}, {2: "5/7"}),
-        ({}, {}),
-    ]
-    for im1, im2 in cases:
-        d1 = derivation(R3, {i: _p(t) for i, t in im1.items()})
-        d2 = derivation(R3, {i: _p(t) for i, t in im2.items()})
-        assert coxring._flow(d1, d2) == _ref_flow(d1, d2), (im1, im2)
-    # s1*(x2*s2) + s2*(-x2*s1) cancels: the entry is zero over den 1
-    d1 = derivation(R3, {0: _p("x2*s2")})
-    d2 = derivation(R3, {0: _p("-x2*s1")})
-    flow = coxring._flow(d1, d2)
-    assert flow.entries[0] == Poly.zero(R3) and flow.entries[0].den == 1
+    # the message names z's size, not its terms: here 1,002 of them
+    big = derivation(R3, {0: _p("x2"), 1: _p(" + ".join(
+        ["x1"] + [f"{k}*x3^{k}" for k in range(1, 1001)]))})
+    with pytest.raises(NotLocallyNilpotent) as info:
+        exp_ad(big, derivation(R3, {0: _p("1")}))
+    assert "(1002 terms)" in str(info.value) and len(str(info.value)) < 200
 
 
 def test_apply_plan_is_kept_and_never_shared():
@@ -836,6 +783,11 @@ def test_lnd_from_root_rejects():
     # pairs to -1 with ray 1 but negatively with ray 3
     with pytest.raises(NegativeExponent):
         lnd_from_root(ring, rays, (-1, 2), 0)
+    # (1, 0) is a root of ray 3 only, and p2 has no ray 4 or ray 0
+    assert lnd_from_root(ring, rays, (1, 0), 2).char == (1, 0)
+    for i in (3, -1):
+        with pytest.raises(IndexOutOfRange, match=f"ray index {i} "):
+            lnd_from_root(ring, rays, (1, 0), i)
 
 
 def test_character_of_and_torus_scaling():
@@ -1007,6 +959,17 @@ def test_normal_form_binomial_oracle():
             mu.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
             res = normal_form(mu, family)
             assert all(r == 0 for r in _binomial_residuals(mu, res.eta))
+
+
+def test_normal_form_reverifies_up_to_d62():
+    # normal_form re-verifies its answer by exp(ad Z), whose series at
+    # d = 62 still fits in the 64-step cap
+    family = classify_rays(example_fan("f:3")).family
+    assert normal_form((1, 2, 0, 5), family).eta == (2, 1, 5)
+    rng = random.Random(62)
+    family = classify_rays(example_fan("f:62")).family
+    res = normal_form([rng.randint(-9, 9) for _ in range(62)] + [1], family)
+    assert res.conjugated == res.target
 
 
 def test_normal_form_solution_is_unique():

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from toric_additive import coxring, verify
+from toric_additive import cli, coxring, verify
 from toric_additive.additive import (
     classify,
     complete_collections,
@@ -1123,6 +1123,24 @@ def test_emit_actions_rejects_other_shapes():
     fam = classify(build_fan(example_fan("p2"))).family
     with pytest.raises(NotApplicable, match="delta moves x2, not only x1"):
         emit_actions(replace(fam, delta=fam.delta + fam.partials[0]))
+
+
+def test_pipeline_runs_no_series_or_substitution(monkeypatch, capsys):
+    # classify writes the actions in closed form and no oracle composes
+    # or substitutes, so neither route is reached from fan to report
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline reached a series or substitution")
+
+    monkeypatch.setattr(coxring, "_exp_series", refuse)
+    monkeypatch.setattr(coxring, "substitute", refuse)
+    rays = [example_fan(name) for name in CATALOG]
+    rays += [example_fan("f:32"), ((1, 0), (0, 1), (-1, -32)),
+             ((1, 0), (0, 1), (-10**7 - 3, -10**7))]
+    for r in rays:
+        rep = verification_report(classify(build_fan(r)))
+        assert rep["all_pass"], (r, rep["checks"])
+    assert cli.main(["verify", "--example", "p2"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", CATALOG)
